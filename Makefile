@@ -6,9 +6,9 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: check vet build test race bench benchdiff soak soak-long ixpd-smoke
+.PHONY: check vet build test race bench benchdiff soak soak-long ixpd-smoke perfbench
 
-check: vet build race soak ixpd-smoke benchdiff
+check: vet build race soak ixpd-smoke perfbench benchdiff
 
 # vet runs the stock analyzers plus metriclint, which pins the metric
 # naming contract: every family registered on a telemetry.Registry is
@@ -45,6 +45,13 @@ soak-long:
 # deterministic, part of check.
 ixpd-smoke:
 	$(GO) run ./cmd/ixpd -smoke -ixps DE-CIX,AMS-IX -scale 0.01
+
+# perfbench vets, builds and tests the end-to-end benchmark
+# (perfbench/, see BENCHMARK.json). It is a module of its own, so the
+# root `./...` patterns skip it; this target makes an API change that
+# breaks the benchmark fail check. It only reads perfbench/.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the full benchmark suite once — the paper-experiment
 # benches in the root package plus the collection-path benches in

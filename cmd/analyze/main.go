@@ -8,22 +8,21 @@
 //	        [-parallel N] [-trace file]
 //
 // Without -snapshots it generates the calibrated synthetic workload;
-// with -snapshots it loads stored snapshot files for the latest date
-// per IXP instead. Columnar binary snapshot files are indexed
-// straight off their columns by default (no []bgp.Route is ever
-// materialized); -materialize restores the decode-then-classify
-// loading path. Delta chains (a day-0 .bin plus daily .delta files,
-// as written by `ixpgen -codec delta` or `collect -codec delta`) are
-// walked incrementally: each day's index advances from the previous
-// day's by applying the delta; -no-incremental applies the deltas
-// but rebuilds each day's index from its own columns instead. Every
-// path produces byte-identical experiment output.
+// with -snapshots it loads stored snapshot files instead, and
+// generates nothing. The directory must hold a snapshot for every
+// -ixps profile; select the IXPs it holds with -ixps. The files pick
+// the load path: columnar binary snapshot files are indexed straight
+// off their columns (no []bgp.Route is ever materialized), delta
+// chains (a day-0 .bin plus daily .delta files, as written by `ixpgen
+// -codec delta` or `collect -codec delta`) advance each day's index
+// from the previous day's, and other codecs and MRT dumps materialize
+// their routes. Every path produces byte-identical experiment output.
 //
-// -parallel bounds the worker pools: experiments fan out across the
-// pool, each writing to an ordered buffer, so the output is
-// byte-identical to a sequential run. -parallel 1 additionally
-// disables the classified snapshot index (implying -materialize) and
-// restores the original sequential direct-classify pipeline.
+// -parallel bounds the lab's worker pools: generation, file decode and
+// the experiment fan-out, each experiment writing to an ordered
+// buffer, so the output is byte-identical to a sequential run. Index
+// builds size their own fan-out by GOMAXPROCS; for a fully
+// single-threaded run use GOMAXPROCS=1.
 package main
 
 import (
@@ -49,21 +48,21 @@ func main() {
 	snapshotDir := flag.String("snapshots", "", "load snapshots from this directory instead of generating")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker budget for generation, analysis and experiments (1 = sequential direct-classify path)")
-	materialize := flag.Bool("materialize", false,
-		"decode full routes when loading -snapshots instead of indexing columnar files column-direct")
-	noIncremental := flag.Bool("no-incremental", false,
-		"reconstruct -snapshots delta chains through a materializing apply instead of advancing each day's index incrementally")
+		"worker budget for generation, snapshot decode and the experiment fan-out")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
-	analysis.SetParallelism(*parallel)
 	profiles, err := selectProfiles(*ixps)
 	if err != nil {
 		fatal(err)
 	}
-	lab, err := report.NewLabParallel(profiles, *seed, *scale, *parallel)
-	if err != nil {
+	// With -snapshots the lab is a shell the load fills; generating the
+	// synthetic snapshots first would only let them stand in for IXPs
+	// the directory lacks.
+	var lab *report.Lab
+	if *snapshotDir != "" {
+		lab = report.NewLabShell(profiles, *seed, *scale, *parallel)
+	} else if lab, err = report.NewLabParallel(profiles, *seed, *scale, *parallel); err != nil {
 		fatal(err)
 	}
 	// With -trace, the whole run becomes one trace: an analyze.run root
@@ -85,11 +84,12 @@ func main() {
 		rootSpan.SetAttrInt("parallel", int64(*parallel))
 	}
 	if *snapshotDir != "" {
-		// -parallel 1 promises the original direct-classify pipeline,
-		// which needs materialized routes to walk.
-		lab.Materialize = *materialize || *parallel == 1
-		lab.NoIncremental = *noIncremental
 		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
+			// Series is set once every file has loaded; failing after
+			// that means the directory lacks some -ixps profiles.
+			if lab.Series != nil {
+				err = fmt.Errorf("%w; select the IXPs it holds with -ixps", err)
+			}
 			fatal(err)
 		}
 	}

@@ -7,16 +7,21 @@
 // Usage:
 //
 //	ixpd [-addr :8080] [-snapshots DIR] [-ixps big4] [-scale 0.02]
-//	     [-seed 42] [-parallel 0] [-materialize] [-no-incremental]
-//	     [-max-inflight 0] [-request-timeout 15s] [-reload-interval 5s]
-//	     [-cache-cap 512] [-metrics-addr :9100] [-trace file]
-//	     [-drain 5s] [-smoke]
+//	     [-seed 42] [-parallel 0] [-max-inflight 0]
+//	     [-request-timeout 15s] [-reload-interval 5s] [-cache-cap 512]
+//	     [-metrics-addr :9100] [-trace file] [-drain 5s] [-smoke]
 //
 // With -snapshots the dataset directory is loaded through the delta-
 // chain-aware loader and polled every -reload-interval: a new
 // collection day landing in the directory swaps in a fresh dataset
-// generation without dropping in-flight requests. Without it the
-// daemon serves the synthetic lab derived from -ixps/-seed/-scale.
+// generation without dropping in-flight requests. The files pick the
+// load path (binary files are indexed column-direct, delta chains
+// advance each day's index incrementally, other codecs and MRT dumps
+// materialize); every path serves identical results. The directory
+// must hold a snapshot for every -ixps profile: a load that leaves
+// one without fails, and a failed reload keeps the current dataset
+// serving. Without -snapshots the daemon serves the synthetic lab
+// derived from -ixps/-seed/-scale.
 //
 // Responses carry strong ETags derived from the dataset digest;
 // clients that revalidate with If-None-Match get 304s with zero
@@ -58,8 +63,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "synthetic workload scale")
 	seed := flag.Int64("seed", 42, "synthetic generation seed")
 	parallel := flag.Int("parallel", 0, "load/experiment worker bound (0 = GOMAXPROCS)")
-	materialize := flag.Bool("materialize", false, "materialize delta-chain days as full snapshots")
-	noIncremental := flag.Bool("no-incremental", false, "disable incremental delta-chain index maintenance")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent response computations (0 = 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request compute admission/wait deadline")
 	reloadInterval := flag.Duration("reload-interval", 5*time.Second, "dataset directory poll period (negative disables)")
@@ -86,8 +89,6 @@ func main() {
 		Seed:           *seed,
 		Scale:          *scale,
 		Parallel:       *parallel,
-		Materialize:    *materialize,
-		NoIncremental:  *noIncremental,
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		ReloadInterval: *reloadInterval,

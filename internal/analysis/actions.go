@@ -20,66 +20,13 @@ type TypeUsage struct {
 // of the four action groups, the number (and fraction) of RS members
 // tagging at least one route with a community of that group.
 func ASesPerActionType(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []TypeUsage {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.ASesPerActionType(v6)
-	}
-	return ASesPerActionTypeDirect(s, scheme, v6)
-}
-
-// ASesPerActionTypeDirect is the direct-classify twin of
-// ASesPerActionType.
-func ASesPerActionTypeDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []TypeUsage {
-	users := map[dictionary.ActionType]map[uint32]bool{}
-	for _, t := range dictionary.ActionTypes {
-		users[t] = make(map[uint32]bool)
-	}
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
-			users[cl.Action][r.PeerAS()] = true
-		})
-	}
-	members := 0
-	for _, m := range s.Members {
-		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
-			members++
-		}
-	}
-	out := make([]TypeUsage, 0, len(dictionary.ActionTypes))
-	for _, t := range dictionary.ActionTypes {
-		out = append(out, TypeUsage{
-			Type:  t,
-			ASes:  len(users[t]),
-			Share: ratio(len(users[t]), members),
-		})
-	}
-	return out
+	return IndexFor(s, scheme).ASesPerActionType(v6)
 }
 
 // OccurrencesPerType counts action-community instances per group —
 // §5.3's second analysis.
 func OccurrencesPerType(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[dictionary.ActionType]int {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.OccurrencesPerType(v6)
-	}
-	return OccurrencesPerTypeDirect(s, scheme, v6)
-}
-
-// OccurrencesPerTypeDirect is the direct-classify twin of
-// OccurrencesPerType.
-func OccurrencesPerTypeDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[dictionary.ActionType]int {
-	out := make(map[dictionary.ActionType]int, len(dictionary.ActionTypes))
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
-			out[cl.Action]++
-		})
-	}
-	return out
+	return IndexFor(s, scheme).OccurrencesPerType(v6)
 }
 
 // CommunityCount is one ranked community in Fig. 5/6.
@@ -93,25 +40,7 @@ type CommunityCount struct {
 // occurrence — Fig. 5's top-20 per IXP (ties broken by value for
 // determinism).
 func TopActionCommunities(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []CommunityCount {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.TopActionCommunities(v6, k)
-	}
-	return TopActionCommunitiesDirect(s, scheme, v6, k)
-}
-
-// TopActionCommunitiesDirect is the direct-classify twin of
-// TopActionCommunities.
-func TopActionCommunitiesDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []CommunityCount {
-	counts := make(map[bgp.Community]int, 128)
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(c bgp.Community, _ dictionary.Class) {
-			counts[c]++
-		})
-	}
-	return rankCommunities(counts, scheme.Classify, k)
+	return IndexFor(s, scheme).TopActionCommunities(v6, k)
 }
 
 // rankCommunities sorts a community histogram by count (desc) then
@@ -151,32 +80,7 @@ func (n NonMemberTargeting) Share() float64 { return ratio(n.Instances, n.Total)
 // with a specific AS target can be ineffective this way; to-all and
 // blackhole actions always have effect.
 func ComputeNonMemberTargeting(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) NonMemberTargeting {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.NonMemberTargeting(v6, k)
-	}
-	return ComputeNonMemberTargetingDirect(s, scheme, v6, k)
-}
-
-// ComputeNonMemberTargetingDirect is the direct-classify twin of
-// ComputeNonMemberTargeting.
-func ComputeNonMemberTargetingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) NonMemberTargeting {
-	members := s.MemberSet()
-	counts := make(map[bgp.Community]int, 64)
-	res := NonMemberTargeting{}
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(c bgp.Community, cl dictionary.Class) {
-			res.Total++
-			if cl.Target == dictionary.TargetPeer && !members[cl.TargetASN] {
-				res.Instances++
-				counts[c]++
-			}
-		})
-	}
-	res.Top = rankCommunities(counts, scheme.Classify, k)
-	return res
+	return IndexFor(s, scheme).NonMemberTargeting(v6, k)
 }
 
 // Culprit is one Fig. 7 bar: an AS and how many of its action
@@ -189,27 +93,7 @@ type Culprit struct {
 // CulpritRanking ranks the ASes tagging routes with communities that
 // target non-RS members — Fig. 7's top-k.
 func CulpritRanking(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []Culprit {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.CulpritRanking(v6, k)
-	}
-	return CulpritRankingDirect(s, scheme, v6, k)
-}
-
-// CulpritRankingDirect is the direct-classify twin of CulpritRanking.
-func CulpritRankingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []Culprit {
-	members := s.MemberSet()
-	counts := make(map[uint32]int, len(s.Members))
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
-			if cl.Target == dictionary.TargetPeer && !members[cl.TargetASN] {
-				counts[r.PeerAS()]++
-			}
-		})
-	}
-	return rankCulprits(counts, k)
+	return IndexFor(s, scheme).CulpritRanking(v6, k)
 }
 
 // rankCulprits sorts a per-AS histogram into the Fig. 7 order
@@ -241,35 +125,7 @@ type TargetedAS struct {
 
 // TopTargets ranks the ASes most targeted by action communities.
 func TopTargets(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []TargetedAS {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.TopTargets(v6, k)
-	}
-	return TopTargetsDirect(s, scheme, v6, k)
-}
-
-// TopTargetsDirect is the direct-classify twin of TopTargets.
-func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []TargetedAS {
-	members := s.MemberSet()
-	counts := make(map[uint32]int, 128)
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
-			if cl.Target == dictionary.TargetPeer {
-				counts[cl.TargetASN]++
-			}
-		})
-	}
-	out := make([]TargetedAS, 0, len(counts))
-	for asn, n := range counts {
-		out = append(out, TargetedAS{ASN: asn, IsMember: members[asn], Count: n})
-	}
-	sortTargets(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return IndexFor(s, scheme).TopTargets(v6, k)
 }
 
 // sortTargets orders targeted ASes by count (desc) then ASN (asc).

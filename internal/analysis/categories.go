@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"ixplight/internal/asdb"
-	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
@@ -36,40 +35,7 @@ type CategoryBreakdown struct {
 // ComputeCategoryBreakdown runs the §5.4 category aggregation for one
 // snapshot family.
 func ComputeCategoryBreakdown(s *collector.Snapshot, scheme *dictionary.Scheme, reg *asdb.Registry, v6 bool) CategoryBreakdown {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.CategoryBreakdown(reg, v6)
-	}
-	return ComputeCategoryBreakdownDirect(s, scheme, reg, v6)
-}
-
-// ComputeCategoryBreakdownDirect is the direct-classify twin of
-// ComputeCategoryBreakdown.
-func ComputeCategoryBreakdownDirect(s *collector.Snapshot, scheme *dictionary.Scheme, reg *asdb.Registry, v6 bool) CategoryBreakdown {
-	members := s.MemberSet()
-	all := make(map[asdb.Category]int)
-	nonMembers := make(map[asdb.Category]int)
-	allTotal, nmTotal := 0, 0
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
-			if cl.Target != dictionary.TargetPeer {
-				return
-			}
-			cat := reg.CategoryOf(cl.TargetASN)
-			all[cat]++
-			allTotal++
-			if !members[cl.TargetASN] {
-				nonMembers[cat]++
-				nmTotal++
-			}
-		})
-	}
-	return CategoryBreakdown{
-		All:        categoryShares(all, allTotal),
-		NonMembers: categoryShares(nonMembers, nmTotal),
-	}
+	return IndexFor(s, scheme).CategoryBreakdown(reg, v6)
 }
 
 func categoryShares(counts map[asdb.Category]int, total int) []CategoryShare {

@@ -525,10 +525,9 @@ type pinnedIndex struct {
 }
 
 // AttachIndex pins a pre-built index on its snapshot, making every
-// analysis wrapper answer from it — regardless of the Parallelism
-// dispatch, because a header-only snapshot has no routes for the
-// direct twins to walk. Attach before the snapshot is shared across
-// goroutines. The pin is consulted ahead of the shared cache, keyed
+// analysis wrapper answer from it — required for a header-only
+// snapshot, which has no routes to build an index from or to walk.
+// Attach before the snapshot is shared across goroutines. The pin is consulted ahead of the shared cache, keyed
 // by the index's scheme (scheme-independent lookups match any pin).
 func AttachIndex(s *collector.Snapshot, ix *Index) {
 	s.SetAux(&pinnedIndex{scheme: ix.scheme, ix: ix})

@@ -155,9 +155,8 @@ func TestIndexFromReaderNonBinary(t *testing.T) {
 }
 
 // TestAttachIndexDispatch pins that a pinned index answers the
-// analysis wrappers on its header-only snapshot — at any parallelism,
-// including 1, where the direct twins would otherwise walk the absent
-// routes.
+// analysis wrappers on its header-only snapshot, which has no routes
+// to build an index from or to walk.
 func TestAttachIndexDispatch(t *testing.T) {
 	s, scheme := testSnapshot(t)
 	ix := columnIndex(t, s, scheme)
@@ -167,21 +166,18 @@ func TestAttachIndexDispatch(t *testing.T) {
 	}
 	AttachIndex(head, ix)
 
-	for _, par := range []int{1, 4} {
-		setParallelismForTest(t, par)
-		if got := indexFor(head, scheme); got != ix {
-			t.Fatalf("parallelism %d: indexFor must return the pinned index", par)
+	if got := IndexFor(head, scheme); got != ix {
+		t.Fatal("IndexFor must return the pinned index")
+	}
+	if got := indexForSnapshot(head); got != ix {
+		t.Fatal("indexForSnapshot must return the pinned index")
+	}
+	for _, v6 := range []bool{false, true} {
+		if got, want := ComputeUsage(head, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("pinned ComputeUsage(v6=%v) %+v != direct %+v", v6, got, want)
 		}
-		if got := indexForSnapshot(head); got != ix {
-			t.Fatalf("parallelism %d: indexForSnapshot must return the pinned index", par)
-		}
-		for _, v6 := range []bool{false, true} {
-			if got, want := ComputeUsage(head, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallelism %d: pinned ComputeUsage(v6=%v) %+v != direct %+v", par, v6, got, want)
-			}
-			if got, want := CountSnapshot(head, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallelism %d: pinned CountSnapshot(v6=%v) %+v != direct %+v", par, v6, got, want)
-			}
+		if got, want := CountSnapshot(head, v6), countSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("pinned CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
 		}
 	}
 }

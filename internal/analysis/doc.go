@@ -12,16 +12,22 @@
 // *dictionary.Scheme and an address-family selector, mirroring how the
 // paper slices each analysis per IXP and per family.
 //
-// Two execution paths back each entry point. The direct-classify
-// twins (ComputeUsageDirect, ComputeMixDirect, ...) re-walk the
-// snapshot and re-classify every community instance — the reference
-// implementation and the ablation baseline. When Parallelism() > 1
-// (the default on multi-core hosts), the public wrappers instead
-// consult a shared classified snapshot Index: one sharded pass per
-// (snapshot, scheme) pair that memoizes the Class of every distinct
-// community value and precomputes the aggregates all ~20 analyses
-// slice, so the full experiment battery classifies each distinct
-// value exactly once. SetParallelism(1) disables the index and
-// restores the direct path everywhere. Both paths produce identical
-// results; TestIndexMatchesDirect pins the equivalence.
+// One execution path backs each entry point: the classified snapshot
+// Index. Every scheme-dependent wrapper answers from IndexFor — the
+// index pinned on the snapshot (AttachIndex, as the column-direct and
+// delta-chain loaders do) or else a shared cached one, built once per
+// (snapshot, scheme) pair by a sharded pass over runtime.GOMAXPROCS(0)
+// workers that memoizes the Class of every distinct community value
+// and precomputes the aggregates all ~20 analyses slice. The full
+// experiment battery therefore classifies each distinct value exactly
+// once. The scheme-independent counts (CountSnapshot,
+// HygieneFilterImpact, CommunityCountPercentiles) reuse a pinned or
+// cached index when one exists and otherwise walk the routes, which
+// is cheaper than building an index just for them. For a
+// single-threaded run set GOMAXPROCS=1; results are identical for any
+// worker count.
+//
+// The per-analysis direct-classify walks survive only as the test
+// oracle (oracle_test.go): TestIndexMatchesDirect and
+// TestWrappersMatchOracle pin every accessor and wrapper to them.
 package analysis

@@ -30,58 +30,7 @@ func (f FlavourActions) TotalAction() int {
 
 // ComputeFlavourActions tallies the extension analysis for one family.
 func ComputeFlavourActions(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) FlavourActions {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.FlavourActions(v6)
-	}
-	return ComputeFlavourActionsDirect(s, scheme, v6)
-}
-
-// ComputeFlavourActionsDirect is the direct-classify twin of
-// ComputeFlavourActions.
-func ComputeFlavourActionsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) FlavourActions {
-	var f FlavourActions
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		for _, c := range r.Communities {
-			cl := scheme.Classify(c)
-			if !cl.Known {
-				continue
-			}
-			if cl.Action.IsAction() {
-				f.StandardAction++
-			} else {
-				f.StandardInfo++
-			}
-		}
-		for _, e := range r.ExtCommunities {
-			cl := scheme.ClassifyExtended(e)
-			if !cl.Known {
-				continue
-			}
-			if cl.Action.IsAction() {
-				f.ExtendedAction++
-			} else {
-				f.ExtendedInfo++
-			}
-		}
-		for _, l := range r.LargeCommunities {
-			cl := scheme.ClassifyLarge(l)
-			if !cl.Known {
-				continue
-			}
-			if cl.Action.IsAction() {
-				f.LargeAction++
-				if cl.Target == dictionary.TargetPeer && cl.TargetASN > 0xFFFF {
-					f.LargeWideTargets++
-				}
-			} else {
-				f.LargeInfo++
-			}
-		}
-	}
-	return f
+	return IndexFor(s, scheme).FlavourActions(v6)
 }
 
 // VisibilityReport quantifies the paper's core methodological claim

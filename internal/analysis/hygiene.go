@@ -35,17 +35,19 @@ func (h HygieneImpact) LoadShare() float64 {
 }
 
 // HygieneFilterImpact evaluates the §5.6 filter at each threshold.
-// The per-route counts are scheme-independent, so any cached index for
-// the snapshot can serve them; without one the direct walk is used.
+// The per-route counts are scheme-independent, so any pinned or cached
+// index for the snapshot serves them; without one the routes are
+// walked directly.
 func HygieneFilterImpact(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
 	if ix := indexForSnapshot(s); ix != nil {
 		return ix.HygieneFilterImpact(v6, thresholds)
 	}
-	return HygieneFilterImpactDirect(s, v6, thresholds)
+	return hygieneFilterImpactDirect(s, v6, thresholds)
 }
 
-// HygieneFilterImpactDirect is the direct twin of HygieneFilterImpact.
-func HygieneFilterImpactDirect(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
+// hygieneFilterImpactDirect is HygieneFilterImpact's walk over the
+// snapshot's routes.
+func hygieneFilterImpactDirect(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
 	counts := communityCounts(s, v6)
 	totalComms := 0
 	for _, c := range counts {
@@ -73,17 +75,18 @@ func hygieneImpacts(counts []int, totalComms int, thresholds []int) []HygieneImp
 
 // CommunityCountPercentiles summarises the per-route community count
 // distribution at the given percentiles (0–100) — the evidence for
-// picking a §5.6 threshold.
+// picking a §5.6 threshold. Like HygieneFilterImpact it answers from
+// any pinned or cached index, else walks the routes.
 func CommunityCountPercentiles(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
 	if ix := indexForSnapshot(s); ix != nil {
 		return ix.CommunityCountPercentiles(v6, percentiles)
 	}
-	return CommunityCountPercentilesDirect(s, v6, percentiles)
+	return communityCountPercentilesDirect(s, v6, percentiles)
 }
 
-// CommunityCountPercentilesDirect is the direct twin of
-// CommunityCountPercentiles.
-func CommunityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
+// communityCountPercentilesDirect is CommunityCountPercentiles' walk
+// over the snapshot's routes.
+func communityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
 	return countPercentiles(communityCounts(s, v6), percentiles)
 }
 

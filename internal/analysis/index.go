@@ -18,17 +18,17 @@ import (
 //
 // Every §5 analysis slices the same underlying classification: each
 // community on each accepted route, mapped through the IXP dictionary.
-// The direct entry points (the *Direct twins in this package) re-walk
-// the snapshot and re-call Scheme.Classify per instance, so running
-// the full experiment battery does O(experiments × routes ×
-// communities) redundant classification work. An Index performs that
-// classification exactly once — one pass over the routes, sharded
-// across a worker pool, memoizing the Class of every *distinct*
-// standard/extended/large community value — and aggregates, per
-// address family, everything the analyses consume: the Fig. 1/2 mix,
-// the Fig. 3 action/info split, Fig. 4's usage and per-AS counts, the
-// Table 2 / §5.3 per-type tallies, the Fig. 5–7 / §5.5 rankings and
-// the §5.6 per-route community-count distribution.
+// Re-walking the snapshot and re-calling Scheme.Classify per analysis
+// (what the reference oracle in oracle_test.go does) would cost
+// O(experiments × routes × communities) redundant classification
+// work. An Index performs that classification exactly once — one
+// pass over the routes, sharded across a worker pool, memoizing the
+// Class of every *distinct* standard/extended/large community value —
+// and aggregates, per address family, everything the analyses
+// consume: the Fig. 1/2 mix, the Fig. 3 action/info split, Fig. 4's
+// usage and per-AS counts, the Table 2 / §5.3 per-type tallies, the
+// Fig. 5–7 / §5.5 rankings and the §5.6 per-route community-count
+// distribution.
 
 // numActionTypes sizes the per-ActionType arrays (Informational
 // through Blackhole).
@@ -114,33 +114,6 @@ type familyStats struct {
 	culprits           map[uint32]int
 }
 
-// parallelism is the package-wide worker budget for index
-// construction and the parallel analyses (Stability fan-out). It
-// defaults to runtime.GOMAXPROCS(0); a value of 1 disables the index
-// entirely and routes every wrapper through its *Direct twin — the
-// pre-index sequential behaviour, selectable with `analyze
-// -parallel 1`.
-var parallelism atomic.Int64
-
-func init() { parallelism.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetParallelism sets the analysis worker budget. n < 1 resets to
-// runtime.GOMAXPROCS(0). With n == 1 the indexed fast path is
-// disabled and every analysis runs its direct-classify twin.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	parallelism.Store(int64(n))
-}
-
-// Parallelism returns the current analysis worker budget.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// useIndex reports whether wrappers should go through the shared
-// index (Parallelism() > 1) or the direct twins.
-func useIndex() bool { return Parallelism() > 1 }
-
 // --- shared index cache -------------------------------------------------
 
 // The wrappers keep their historical (snapshot, scheme, family)
@@ -168,7 +141,7 @@ type indexEntry struct {
 // build runs the entry's single-flight construction.
 func (e *indexEntry) build(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 	e.once.Do(func() {
-		e.ix = NewIndexWorkers(s, scheme, Parallelism())
+		e.ix = NewIndex(s, scheme)
 		e.done.Store(true)
 	})
 	return e.ix
@@ -180,8 +153,10 @@ var (
 	indexOrder   []indexKey
 )
 
-// IndexFor returns the shared Index for (s, scheme), building it on
-// first use with the current Parallelism. The cache holds strong
+// IndexFor returns the Index every scheme-dependent analysis wrapper
+// answers from: the index pinned on s (AttachIndex) when its scheme
+// matches, else the shared cached one, built on first use with
+// runtime.GOMAXPROCS(0) workers. The cache holds strong
 // references to at most indexCacheCap snapshots (FIFO eviction); the
 // snapshot must not be mutated while indexed analyses run against it
 // (see the Index concurrency contract).
@@ -234,21 +209,6 @@ func InvalidateIndex(s *collector.Snapshot) {
 	tel().cache(len(indexEntries), dropped)
 }
 
-// indexFor is the wrapper dispatch: the shared index when the indexed
-// path is enabled, nil to signal "use the direct twin". A pinned
-// index (AttachIndex) wins even over the Parallelism()==1 direct
-// dispatch: pinned snapshots may be header-only, leaving the direct
-// twins nothing to walk.
-func indexFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	if ix := pinnedFor(s, scheme); ix != nil {
-		return ix
-	}
-	if !useIndex() {
-		return nil
-	}
-	return IndexFor(s, scheme)
-}
-
 // indexForSnapshot finds an already-built index for s under any
 // scheme — for the scheme-independent analyses (hygiene, Appendix A
 // counts), whose aggregates are identical across schemes. Returns nil
@@ -257,9 +217,6 @@ func indexFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 func indexForSnapshot(s *collector.Snapshot) *Index {
 	if ix := pinnedFor(s, nil); ix != nil {
 		return ix
-	}
-	if !useIndex() {
-		return nil
 	}
 	indexMu.Lock()
 	var e *indexEntry
@@ -287,9 +244,9 @@ func indexForSnapshot(s *collector.Snapshot) *Index {
 // --- construction -------------------------------------------------------
 
 // NewIndex builds the classified index for one snapshot under one
-// scheme using the package Parallelism.
+// scheme with runtime.GOMAXPROCS(0) workers.
 func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	return NewIndexWorkers(s, scheme, Parallelism())
+	return NewIndexWorkers(s, scheme, runtime.GOMAXPROCS(0))
 }
 
 // NewIndexWorkers builds the index with an explicit worker count. The
@@ -800,7 +757,7 @@ func (ix *Index) ASesPerActionType(v6 bool) []TypeUsage {
 }
 
 // OccurrencesPerType returns the §5.3 per-type instance counts. Types
-// with zero occurrences are absent, like in the direct twin.
+// with zero occurrences are absent, like in the oracle twin.
 func (ix *Index) OccurrencesPerType(v6 bool) map[dictionary.ActionType]int {
 	st := ix.family(v6)
 	out := make(map[dictionary.ActionType]int, len(dictionary.ActionTypes))
@@ -849,7 +806,7 @@ func (ix *Index) TopTargets(v6 bool, k int) []TargetedAS {
 // CategoryBreakdown returns the §5.4 target-category aggregation.
 // Aggregating the per-target counts first and mapping each distinct
 // ASN through the registry once gives the same totals as the
-// per-instance walk of the direct twin.
+// per-instance walk of the oracle twin.
 func (ix *Index) CategoryBreakdown(reg *asdb.Registry, v6 bool) CategoryBreakdown {
 	st := ix.family(v6)
 	all := make(map[asdb.Category]int)

@@ -11,15 +11,6 @@ import (
 	"ixplight/internal/ixpgen"
 )
 
-// setParallelismForTest overrides the package parallelism and restores
-// it when the test ends.
-func setParallelismForTest(t *testing.T, n int) {
-	t.Helper()
-	old := Parallelism()
-	SetParallelism(n)
-	t.Cleanup(func() { SetParallelism(old) })
-}
-
 // genSnapshot builds a mid-size generated workload so the equivalence
 // check also covers ext/large communities, prepends and both families
 // at realistic diversity.
@@ -66,11 +57,11 @@ func checkIndexMatchesDirect(t *testing.T, s *collector.Snapshot, scheme *dictio
 			eq("TopTargets", ix.TopTargets(v6, k), TopTargetsDirect(s, scheme, v6, k))
 		}
 		eq("CategoryBreakdown", ix.CategoryBreakdown(reg, v6), ComputeCategoryBreakdownDirect(s, scheme, reg, v6))
-		eq("HygieneFilterImpact", ix.HygieneFilterImpact(v6, []int{0, 2, 10}), HygieneFilterImpactDirect(s, v6, []int{0, 2, 10}))
+		eq("HygieneFilterImpact", ix.HygieneFilterImpact(v6, []int{0, 2, 10}), hygieneFilterImpactDirect(s, v6, []int{0, 2, 10}))
 		eq("CommunityCountPercentiles",
 			ix.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}),
-			CommunityCountPercentilesDirect(s, v6, []float64{0, 50, 90, 100}))
-		eq("Counts", ix.Counts(v6), CountSnapshotDirect(s, v6))
+			communityCountPercentilesDirect(s, v6, []float64{0, 50, 90, 100}))
+		eq("Counts", ix.Counts(v6), countSnapshotDirect(s, v6))
 	}
 }
 
@@ -93,34 +84,30 @@ func TestIndexMatchesDirect(t *testing.T) {
 	checkIndexMatchesDirect(t, empty, dictionary.ProfileByName("DE-CIX"), 4)
 }
 
-// TestWrapperDispatch pins the -parallel 1 contract: with parallelism
-// 1 the wrappers run the direct path; with > 1 they consult the shared
-// index and still return identical results.
+// TestWrapperDispatch pins the single dispatch path: a wrapper builds
+// the shared index on first use and every later lookup reuses it; the
+// scheme-independent analyses piggyback on it while it is cached and
+// fall back to walking the routes once it is invalidated.
 func TestWrapperDispatch(t *testing.T) {
 	s, scheme := testSnapshot(t)
+	InvalidateIndex(s)
+	t.Cleanup(func() { InvalidateIndex(s) })
 
-	setParallelismForTest(t, 1)
-	if indexFor(s, scheme) != nil {
-		t.Fatal("indexFor must be nil at parallelism 1")
+	if indexForSnapshot(s) != nil {
+		t.Fatal("indexForSnapshot must miss before any wrapper ran")
 	}
-	direct := ComputeUsage(s, scheme, false)
-
-	SetParallelism(4)
-	ix := indexFor(s, scheme)
+	want := NewIndexWorkers(s, scheme, 1).Usage(false)
+	if got := ComputeUsage(s, scheme, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("ComputeUsage %+v != index %+v", got, want)
+	}
+	ix := indexForSnapshot(s)
 	if ix == nil {
-		t.Fatal("indexFor must build at parallelism 4")
-	}
-	if got := ComputeUsage(s, scheme, false); !reflect.DeepEqual(got, direct) {
-		t.Errorf("indexed ComputeUsage %+v != direct %+v", got, direct)
+		t.Fatal("ComputeUsage must cache the index it built")
 	}
 	if again := IndexFor(s, scheme); again != ix {
 		t.Error("IndexFor must return the cached index")
 	}
-	// Scheme-independent analyses piggyback on the cached index.
-	if indexForSnapshot(s) != ix {
-		t.Error("indexForSnapshot must find the cached index")
-	}
-	if got, want := CountSnapshot(s, false), CountSnapshotDirect(s, false); !reflect.DeepEqual(got, want) {
+	if got, want := CountSnapshot(s, false), countSnapshotDirect(s, false); !reflect.DeepEqual(got, want) {
 		t.Errorf("CountSnapshot via index %+v != direct %+v", got, want)
 	}
 
@@ -128,11 +115,8 @@ func TestWrapperDispatch(t *testing.T) {
 	if indexForSnapshot(s) != nil {
 		t.Error("indexForSnapshot must miss after InvalidateIndex")
 	}
-
-	// SetParallelism(0) resets to GOMAXPROCS.
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Errorf("Parallelism() = %d after reset", Parallelism())
+	if got, want := CountSnapshot(s, false), countSnapshotDirect(s, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("CountSnapshot fallback %+v != direct %+v", got, want)
 	}
 }
 
@@ -140,7 +124,6 @@ func TestWrapperDispatch(t *testing.T) {
 // shared by many goroutines, every accessor exercised, plus concurrent
 // cache hits through IndexFor — run under -race by `make check`.
 func TestIndexConcurrentUse(t *testing.T) {
-	setParallelismForTest(t, 4)
 	s, scheme := genSnapshot(t, "LINX")
 	ix := NewIndexWorkers(s, scheme, 4)
 	reg := asdb.Default()
@@ -183,7 +166,6 @@ func TestIndexConcurrentUse(t *testing.T) {
 // TestIndexCacheEviction keeps the cache bounded: filling it past
 // indexCacheCap evicts the oldest entry.
 func TestIndexCacheEviction(t *testing.T) {
-	setParallelismForTest(t, 2)
 	scheme := dictionary.ProfileByName("DE-CIX")
 	first := &collector.Snapshot{IXP: "DE-CIX", Date: "d0"}
 	_ = IndexFor(first, scheme)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 
@@ -43,10 +44,11 @@ type PairwiseIntersection struct {
 // deterministic: shared ASNs are sorted ascending.
 func TargetIntersections(ixps []IXPSnapshot, v6 bool, k int) (pairs []PairwiseIntersection, common []uint32) {
 	// Each IXP's top-target set comes from its own snapshot index, so
-	// the extraction fans out when Parallelism() allows; results land
-	// in per-IXP slots and the intersections below stay deterministic.
+	// the extraction fans out when runtime.GOMAXPROCS(0) allows;
+	// results land in per-IXP slots and the intersections below stay
+	// deterministic.
 	sets := make([]map[uint32]bool, len(ixps))
-	if Parallelism() > 1 && len(ixps) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 && len(ixps) > 1 {
 		var wg sync.WaitGroup
 		for i, s := range ixps {
 			wg.Add(1)

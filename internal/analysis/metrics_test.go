@@ -23,7 +23,6 @@ func setTelemetryForTest(t *testing.T) *telemetry.Registry {
 // lookup is a miss that builds, repeats are hits, invalidation shows
 // up as an eviction, and the entry gauge tracks the cache size.
 func TestIndexCacheMetrics(t *testing.T) {
-	setParallelismForTest(t, 2)
 	reg := setTelemetryForTest(t)
 	m := tel()
 	s, scheme := genSnapshot(t, "DE-CIX")
@@ -61,7 +60,6 @@ func TestIndexCacheMetrics(t *testing.T) {
 // TestIndexCoalescedBuilds: concurrent first lookups must build once
 // and record the latecomers as coalesced.
 func TestIndexCoalescedBuilds(t *testing.T) {
-	setParallelismForTest(t, 2)
 	setTelemetryForTest(t)
 	m := tel()
 	s, scheme := genSnapshot(t, "LINX")
@@ -98,7 +96,6 @@ func TestIndexCoalescedBuilds(t *testing.T) {
 // TestIndexBuildSpan: builds must emit an analysis.index_build span
 // carrying the snapshot identity.
 func TestIndexBuildSpan(t *testing.T) {
-	setParallelismForTest(t, 2)
 	reg := setTelemetryForTest(t)
 	sink := &telemetry.RecordingSink{}
 	reg.SetSpanSink(sink)
@@ -121,7 +118,6 @@ func TestIndexBuildSpan(t *testing.T) {
 // cache must behave identically (a correctness guard for the
 // nil-telemetry fast path).
 func TestTelemetryOffCostsNothingVisible(t *testing.T) {
-	setParallelismForTest(t, 2)
 	SetTelemetry(nil)
 	s, scheme := genSnapshot(t, "DE-CIX")
 	t.Cleanup(func() { InvalidateIndex(s) })

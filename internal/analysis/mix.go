@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
@@ -58,87 +57,17 @@ func ratio(num, den int) float64 {
 
 // ComputeMix tallies the Fig. 1/2 mix for one family of a snapshot.
 func ComputeMix(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Mix {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.Mix(v6)
-	}
-	return ComputeMixDirect(s, scheme, v6)
-}
-
-// ComputeMixDirect is the direct-classify twin of ComputeMix.
-func ComputeMixDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Mix {
-	var m Mix
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		for _, c := range r.Communities {
-			if scheme.Classify(c).Known {
-				m.DefinedStandard++
-			} else {
-				m.UnknownStandard++
-			}
-		}
-		for _, e := range r.ExtCommunities {
-			if scheme.ClassifyExtended(e).Known {
-				m.DefinedExtended++
-			} else {
-				m.UnknownExtended++
-			}
-		}
-		for _, l := range r.LargeCommunities {
-			if scheme.ClassifyLarge(l).Known {
-				m.DefinedLarge++
-			} else {
-				m.UnknownLarge++
-			}
-		}
-	}
-	return m
+	return IndexFor(s, scheme).Mix(v6)
 }
 
 // ActionInfoSplit counts action vs informational instances among the
 // IXP-defined standard communities — Fig. 3.
 func ActionInfoSplit(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) (action, info int) {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.ActionInfoSplit(v6)
-	}
-	return ActionInfoSplitDirect(s, scheme, v6)
-}
-
-// ActionInfoSplitDirect is the direct-classify twin of ActionInfoSplit.
-func ActionInfoSplitDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) (action, info int) {
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		for _, c := range r.Communities {
-			cl := scheme.Classify(c)
-			if !cl.Known {
-				continue
-			}
-			if cl.Action.IsAction() {
-				action++
-			} else {
-				info++
-			}
-		}
-	}
-	return action, info
+	return IndexFor(s, scheme).ActionInfoSplit(v6)
 }
 
 // ActionShare is Fig. 3's action fraction.
 func ActionShare(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) float64 {
 	a, i := ActionInfoSplit(s, scheme, v6)
 	return ratio(a, a+i)
-}
-
-// classifyRouteActions calls fn for every known action community on a
-// route, the shared walk under most §5 analyses.
-func classifyRouteActions(r bgp.Route, scheme *dictionary.Scheme, fn func(bgp.Community, dictionary.Class)) {
-	for _, c := range r.Communities {
-		cl := scheme.Classify(c)
-		if cl.IsAction() {
-			fn(c, cl)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"runtime"
 	"sync"
 
 	"ixplight/internal/collector"
@@ -18,17 +19,19 @@ type SnapshotCounts struct {
 }
 
 // CountSnapshot extracts one Appendix A row from a snapshot family.
-// The counts are scheme-independent, so any cached index for the
-// snapshot serves them; without one the direct walk is used.
+// The counts are scheme-independent, so any pinned or cached index for
+// the snapshot serves them; without one the routes are walked
+// directly.
 func CountSnapshot(s *collector.Snapshot, v6 bool) SnapshotCounts {
 	if ix := indexForSnapshot(s); ix != nil {
 		return ix.Counts(v6)
 	}
-	return CountSnapshotDirect(s, v6)
+	return countSnapshotDirect(s, v6)
 }
 
-// CountSnapshotDirect is the direct twin of CountSnapshot.
-func CountSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
+// countSnapshotDirect is CountSnapshot's walk over the snapshot's
+// routes.
+func countSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
 	c := SnapshotCounts{Date: s.Date}
 	if v6 {
 		c.Members = s.MembersV6()
@@ -95,13 +98,13 @@ func (t StabilityTable) MaxDiffPct() float64 {
 	return m
 }
 
-// Stability computes the Table 3/4 row over a snapshot window. With
-// Parallelism() > 1 the per-snapshot counting fans out over a bounded
-// worker pool; each result lands in its snapshot's slot, so the table
-// is identical to the sequential walk.
+// Stability computes the Table 3/4 row over a snapshot window. The
+// per-snapshot counting fans out over runtime.GOMAXPROCS(0) workers;
+// each result lands in its snapshot's slot, so the table is identical
+// to the sequential walk.
 func Stability(snaps []*collector.Snapshot, v6 bool) StabilityTable {
 	rows := make([]SnapshotCounts, len(snaps))
-	workers := min(Parallelism(), len(snaps))
+	workers := min(runtime.GOMAXPROCS(0), len(snaps))
 	if workers <= 1 {
 		for i, s := range snaps {
 			rows[i] = CountSnapshot(s, v6)

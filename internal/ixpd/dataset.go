@@ -27,8 +27,10 @@ type generation struct {
 }
 
 // buildGeneration loads a fresh generation: the snapshot directory
-// when configured (delta chains walked incrementally by default),
-// the calibrated synthetic lab otherwise.
+// when configured (delta chains walked incrementally), the calibrated
+// synthetic lab otherwise. A directory lacking a snapshot for one of
+// the profiles is an error, so a reload over it keeps the current
+// generation serving.
 func (s *Server) buildGeneration() (*generation, error) {
 	cfg := &s.cfg
 	var lab *report.Lab
@@ -38,8 +40,6 @@ func (s *Server) buildGeneration() (*generation, error) {
 		// never synthetic generation.
 		lab = report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 		lab.Telemetry = cfg.Telemetry
-		lab.Materialize = cfg.Materialize
-		lab.NoIncremental = cfg.NoIncremental
 		var err error
 		if sig, err = dirSignature(cfg.SnapshotDir); err != nil {
 			return nil, err

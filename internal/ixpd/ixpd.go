@@ -69,10 +69,6 @@ type Config struct {
 	// Parallel bounds the lab's load/experiment worker pools.
 	// 0 = GOMAXPROCS.
 	Parallel int
-	// Materialize / NoIncremental are forwarded to the snapshot
-	// loader (see report.Lab).
-	Materialize   bool
-	NoIncremental bool
 	// MaxInFlight bounds concurrent response computations (experiment
 	// runs + marshals). 0 = 2×GOMAXPROCS. Cache hits and 304s are not
 	// admission-controlled — they cost a map lookup.

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,5 +175,54 @@ func TestHotReload(t *testing.T) {
 	// An unchanged directory never swaps.
 	if swapped, err := s.Reload(); err != nil || swapped {
 		t.Fatalf("reload on unchanged dir: swapped=%v err=%v", swapped, err)
+	}
+}
+
+// TestReloadMissingProfileKeepsGeneration pins the partial-directory
+// contract: a dataset directory that loses every file of one profiled
+// IXP fails to load — naming that IXP — and the reload leaves the
+// current generation serving instead of installing a lab the
+// experiments would nil-dereference on.
+func TestReloadMissingProfileKeepsGeneration(t *testing.T) {
+	dir := t.TempDir()
+	profiles := ixpgen.BigFour()[:2]
+	for _, p := range profiles {
+		writeDeltaSeries(t, dir, p, 2, 2)
+	}
+	s := New(Config{
+		Profiles:       profiles,
+		SnapshotDir:    dir,
+		ReloadInterval: -1,
+		Logf:           t.Logf,
+	})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	oldGen := s.gen.Load()
+
+	gone := profiles[1].IXP
+	matches, err := filepath.Glob(filepath.Join(dir, gone+"-*"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no files for %s in %s (%v)", gone, dir, err)
+	}
+	for _, m := range matches {
+		if err := os.Remove(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	swapped, err := s.Reload()
+	if err == nil || swapped {
+		t.Fatalf("reload over a directory without %s: swapped=%v err=%v", gone, swapped, err)
+	}
+	if !strings.Contains(err.Error(), gone) {
+		t.Errorf("reload error %q does not name %s", err, gone)
+	}
+	if s.gen.Load() != oldGen {
+		t.Error("failed reload replaced the serving generation")
+	}
+	if code, _, body := doGet(t, h, "/v1/experiments/table1", ""); code != http.StatusOK {
+		t.Errorf("table1 after failed reload: code %d: %s", code, body)
 	}
 }

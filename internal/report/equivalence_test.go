@@ -7,15 +7,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ixplight/internal/analysis"
 	"ixplight/internal/ixpgen"
 )
 
 // TestExpAllParallelMatchesSequential pins the engine's central
 // guarantee: the full `-exp all` battery over the seeded big-four
-// workload produces byte-identical output on the parallel indexed
-// path (analysis parallelism > 1, experiment fan-out) and on the
-// legacy sequential direct-classify path (-parallel 1). `make check`
+// workload produces byte-identical output from a 1-worker lab
+// (experiments run one after another) and a 4-worker lab (experiment
+// fan-out). The analyses themselves are pinned to the direct-classify
+// oracle in internal/analysis (TestWrappersMatchOracle). `make check`
 // runs this under -race, so it also exercises the index and pool
 // concurrently.
 func TestExpAllParallelMatchesSequential(t *testing.T) {
@@ -26,10 +26,6 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 		scale = 0.004
 	)
 	profiles := ixpgen.BigFour()
-	old := analysis.Parallelism()
-	t.Cleanup(func() { analysis.SetParallelism(old) })
-
-	analysis.SetParallelism(1)
 	seqLab, err := NewLabParallel(profiles, seed, scale, 1)
 	if err != nil {
 		t.Fatalf("sequential lab: %v", err)
@@ -39,7 +35,6 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("sequential RunMany: %v", err)
 	}
 
-	analysis.SetParallelism(4)
 	parLab, err := NewLabParallel(profiles, seed, scale, 4)
 	if err != nil {
 		t.Fatalf("parallel lab: %v", err)

@@ -45,22 +45,20 @@ type Lab struct {
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's worker pools (experiment fan-out in
-	// RunMany, series generation). 0 or less means
-	// runtime.GOMAXPROCS(0); 1 runs everything sequentially. Results
-	// are identical for any value — parallel work lands in ordered
-	// slots.
+	// RunMany, series generation, file decode in LoadSnapshotDir).
+	// 0 or less means runtime.GOMAXPROCS(0); 1 runs those pools
+	// sequentially. Index builds inside the analyses size their own
+	// fan-out by runtime.GOMAXPROCS(0). Results are identical for any
+	// value — parallel work lands in ordered slots.
 	Parallel int
-	// Materialize forces LoadSnapshotDir to decode full []bgp.Route
-	// snapshots even for columnar binary files. By default those files
-	// are indexed column-direct (analysis.IndexFromReader) and carried
-	// as header-only snapshots with the index attached — byte-identical
-	// experiment output, without materializing routes.
-	Materialize bool
-	// NoIncremental makes LoadSnapshotDir reconstruct delta chains
-	// through a materializing DeltaApplier instead of advancing the
-	// previous day's index in place. Output is byte-identical either
-	// way; the flag exists to compare the two paths.
-	NoIncremental bool
+	// materialize and noIncremental are test hooks that force
+	// LoadSnapshotDir down its materializing paths, so the in-package
+	// tests can pin every loader path byte-identical: materialize
+	// decodes full []bgp.Route snapshots even for columnar binary
+	// files, noIncremental reconstructs delta chains through a
+	// DeltaApplier instead of advancing the previous day's index.
+	materialize   bool
+	noIncremental bool
 	// Telemetry, when set, records a per-experiment run-time histogram
 	// (ixplight_report_experiment_seconds) and emits a
 	// "report.experiment" span per Run.

@@ -22,18 +22,19 @@ import (
 // deterministic regardless of worker interleaving because it is
 // re-sorted by date.
 //
-// Columnar binary files of a profiled IXP are, unless l.Materialize
-// is set, indexed straight off their columns: the loaded snapshot is
+// The input picks the path: columnar binary files of a profiled IXP
+// are indexed straight off their columns — the loaded snapshot is
 // header-only with the classified index attached, and every analysis
 // wrapper answers from the index. Other codecs, MRT dumps and
-// unprofiled IXPs materialize as before.
+// unprofiled IXPs materialize their routes.
 //
 // Delta files (.delta) reconstruct their days from the chain base in
-// the same directory: by default each day's index is advanced
-// incrementally from the previous day's (never materializing the
-// routes), unless l.Materialize or l.NoIncremental force the chain
-// through a materializing DeltaApplier. A delta whose base snapshot is
-// missing from dir is an error.
+// the same directory: each day's index is advanced incrementally from
+// the previous day's, never materializing the routes; a chain whose
+// base was materialized (a non-binary base, or an unprofiled IXP)
+// runs through a materializing DeltaApplier instead. A delta whose base snapshot is
+// missing from dir is an error, and so is a profile IXP left without
+// any snapshot: experiments need one per profile.
 func (l *Lab) LoadSnapshotDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -68,7 +69,7 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}); err != nil {
 		return err
 	}
-	incremental := !l.Materialize && !l.NoIncremental
+	incremental := !l.materialize && !l.noIncremental
 	chainBases := map[string]bool{}
 	if len(deltas) > 0 {
 		emitted := map[string]bool{}
@@ -83,7 +84,7 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}
 
 	schemes := make(map[string]*dictionary.Scheme, len(l.Profiles))
-	if !l.Materialize {
+	if !l.materialize {
 		for _, p := range l.Profiles {
 			schemes[p.IXP] = p.Scheme
 		}
@@ -124,6 +125,15 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 			return strings.Compare(a.Date, b.Date)
 		})
 		l.Snapshots[ixp] = series[len(series)-1]
+	}
+	var missing []string
+	for _, p := range l.Profiles {
+		if l.Snapshots[p.IXP] == nil {
+			missing = append(missing, p.IXP)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("report: no snapshot in %s for profile IXP(s) %s", dir, strings.Join(missing, ", "))
 	}
 	return nil
 }

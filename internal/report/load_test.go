@@ -66,10 +66,10 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotDirColumnDirect pins the tentpole's end-to-end
-// contract: loading a binary snapshot directory column-direct (the
-// default) produces byte-identical experiment output to loading it
-// with Materialize set — and really does skip materialization (the
+// TestLoadSnapshotDirColumnDirect pins the column-direct contract:
+// loading a binary snapshot directory column-direct produces
+// byte-identical experiment output to loading it through the
+// materialize hook — and really does skip materialization (the
 // loaded snapshots are header-only with a pinned index).
 func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	const (
@@ -97,7 +97,7 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lab.Materialize = materialize
+		lab.materialize = materialize
 		if err := lab.LoadSnapshotDir(binDir); err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 			t.Errorf("%s: column-direct load materialized routes", p.IXP)
 		}
 		if matLab.Snapshots[p.IXP].Routes == nil {
-			t.Errorf("%s: Materialize load produced no routes", p.IXP)
+			t.Errorf("%s: materialize load produced no routes", p.IXP)
 		}
 		for _, s := range colLab.Series[p.IXP] {
 			if s.Routes != nil {
@@ -206,8 +206,9 @@ func writeDeltaChain(t *testing.T, profiles []ixpgen.Profile, dir, fullDir strin
 // TestLoadSnapshotDirDeltaChain pins the delta tentpole end to end:
 // loading a chain directory (one full day plus deltas) produces
 // byte-identical experiment output to loading the same days as full
-// files — on the default incremental path (which never materializes a
-// route), on the -no-incremental applier path, and fully materialized.
+// files — on the incremental path (which never materializes a
+// route), on the applier path (noIncremental hook), and fully
+// materialized (materialize hook).
 func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	const (
 		seed  = 42
@@ -239,18 +240,18 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 
 	fullLab, fullOuts := run(fullDir, nil)
 	incLab, incOuts := run(chainDir, nil)
-	appLab, appOuts := run(chainDir, func(l *Lab) { l.NoIncremental = true })
-	_, matOuts := run(chainDir, func(l *Lab) { l.Materialize = true })
+	appLab, appOuts := run(chainDir, func(l *Lab) { l.noIncremental = true })
+	_, matOuts := run(chainDir, func(l *Lab) { l.materialize = true })
 
 	for i := range fullOuts {
 		if !bytes.Equal(fullOuts[i], incOuts[i]) {
 			t.Errorf("%s: incremental chain output differs from full files", ExperimentNames[i])
 		}
 		if !bytes.Equal(fullOuts[i], appOuts[i]) {
-			t.Errorf("%s: NoIncremental chain output differs from full files", ExperimentNames[i])
+			t.Errorf("%s: noIncremental chain output differs from full files", ExperimentNames[i])
 		}
 		if !bytes.Equal(fullOuts[i], matOuts[i]) {
-			t.Errorf("%s: Materialize chain output differs from full files", ExperimentNames[i])
+			t.Errorf("%s: materialize chain output differs from full files", ExperimentNames[i])
 		}
 	}
 
@@ -309,5 +310,49 @@ func TestLoadSnapshotDirDeltaMissingBase(t *testing.T) {
 		t.Fatal("loading a delta chain without its base succeeded")
 	} else if !strings.Contains(err.Error(), "no snapshot for base day") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestLoadSnapshotDirMissingProfile pins the partial-directory failure
+// mode: a shell lab for the big four over a DE-CIX-only binary
+// directory has nothing to run three of its profiles on, so the load
+// fails naming each of them instead of leaving nil snapshots for the
+// experiments to dereference.
+func TestLoadSnapshotDirMissingProfile(t *testing.T) {
+	const (
+		seed  = 7
+		scale = 0.002
+	)
+	dir := t.TempDir()
+	p := *ixpgen.ProfileByName("DE-CIX")
+	opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 2}
+	for d := 0; d < opts.Days; d++ {
+		w, date, err := ixpgen.GenerateDay(p, opts, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := collector.SaveSnapshot(dir, w.Snapshot(date), collector.CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	lab := NewLabShell(ixpgen.BigFour(), seed, scale, 2)
+	err := lab.LoadSnapshotDir(dir)
+	if err == nil {
+		t.Fatal("loading a DE-CIX-only directory for the big four succeeded")
+	}
+	for _, q := range ixpgen.BigFour() {
+		if named := strings.Contains(err.Error(), q.IXP); named != (q.IXP != "DE-CIX") {
+			t.Errorf("error %q: names %s = %v", err, q.IXP, named)
+		}
+	}
+
+	// The same directory loads cleanly for the profile it holds.
+	lab = NewLabShell([]ixpgen.Profile{p}, seed, scale, 2)
+	if err := lab.LoadSnapshotDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lab.RunMany([]string{"table1"}); err != nil {
+		t.Fatal(err)
 	}
 }
