@@ -6,9 +6,9 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: check vet build test race bench benchdiff soak soak-long ixpd-smoke perfbench
+.PHONY: check vet build test race bench benchdiff soak soak-long ixpd-smoke perfbench fuzz-smoke
 
-check: vet build race soak ixpd-smoke perfbench benchdiff
+check: vet build race soak ixpd-smoke perfbench fuzz-smoke benchdiff
 
 # vet runs the stock analyzers plus metriclint, which pins the metric
 # naming contract: every family registered on a telemetry.Registry is
@@ -45,6 +45,15 @@ soak-long:
 # deterministic, part of check.
 ixpd-smoke:
 	$(GO) run ./cmd/ixpd -smoke -ixps DE-CIX,AMS-IX -scale 0.01
+
+# fuzz-smoke runs the two differential index fuzzers for a few
+# seconds each: FuzzAdvance (fuzz-derived delta chains folded by
+# Index.Advance) and FuzzIndexFromColumns (arbitrary binary snapshots
+# through the column build), both checked accessor by accessor against
+# the oracle. `go test -fuzz` takes one package per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAdvance$$' -fuzztime 5s ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexFromColumns$$' -fuzztime 5s ./internal/analysis
 
 # perfbench vets, builds and tests the end-to-end benchmark
 # (perfbench/, see BENCHMARK.json). It is a module of its own, so the

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ixplight/internal/asdb"
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
@@ -35,47 +34,6 @@ func columnIndex(tb testing.TB, s *collector.Snapshot, scheme *dictionary.Scheme
 		tb.Fatalf("IndexFromReader: %v", err)
 	}
 	return ix
-}
-
-// checkIndexesAgree asserts every accessor of got answers identically
-// to want — the column-direct build's equivalence contract against
-// the route-walking NewIndex.
-func checkIndexesAgree(t *testing.T, tag string, got, want *Index) {
-	t.Helper()
-	reg := asdb.Default()
-	for _, v6 := range []bool{false, true} {
-		eq := func(name string, g, w any) {
-			t.Helper()
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("%s: %s (v6=%v): columns %+v != routes %+v", tag, name, v6, g, w)
-			}
-		}
-		eq("Usage", got.Usage(v6), want.Usage(v6))
-		eq("Mix", got.Mix(v6), want.Mix(v6))
-		ga, gi := got.ActionInfoSplit(v6)
-		wa, wi := want.ActionInfoSplit(v6)
-		eq("ActionInfoSplit", [2]int{ga, gi}, [2]int{wa, wi})
-		eq("FlavourActions", got.FlavourActions(v6), want.FlavourActions(v6))
-		eq("PerASActionCounts", got.PerASActionCounts(v6), want.PerASActionCounts(v6))
-		eq("RouteCommCorrelation", got.RouteCommCorrelation(v6), want.RouteCommCorrelation(v6))
-		eq("ASesPerActionType", got.ASesPerActionType(v6), want.ASesPerActionType(v6))
-		eq("OccurrencesPerType", got.OccurrencesPerType(v6), want.OccurrencesPerType(v6))
-		for _, k := range []int{0, 3, 20} {
-			eq("TopActionCommunities", got.TopActionCommunities(v6, k), want.TopActionCommunities(v6, k))
-			eq("NonMemberTargeting", got.NonMemberTargeting(v6, k), want.NonMemberTargeting(v6, k))
-			eq("CulpritRanking", got.CulpritRanking(v6, k), want.CulpritRanking(v6, k))
-			eq("TopTargets", got.TopTargets(v6, k), want.TopTargets(v6, k))
-		}
-		eq("CategoryBreakdown", got.CategoryBreakdown(reg, v6), want.CategoryBreakdown(reg, v6))
-		eq("HygieneFilterImpact", got.HygieneFilterImpact(v6, []int{0, 2, 10}), want.HygieneFilterImpact(v6, []int{0, 2, 10}))
-		eq("CommunityCountPercentiles",
-			got.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}),
-			want.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}))
-		eq("Counts", got.Counts(v6), want.Counts(v6))
-		// Counts a second time: the column path releases its prefix
-		// slabs after the lazy count, which must be memoized.
-		eq("Counts(again)", got.Counts(v6), want.Counts(v6))
-	}
 }
 
 // edgeSnapshot builds a partial snapshot covering the codec's
@@ -113,23 +71,25 @@ func edgeSnapshot(t *testing.T) (*collector.Snapshot, *dictionary.Scheme) {
 	return s, scheme
 }
 
+// TestIndexFromReaderMatchesNewIndex pins the column source of the
+// core: a build off the binary columns answers every accessor like the
+// oracle over the materialized snapshot.
 func TestIndexFromReaderMatchesNewIndex(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	checkIndexesAgree(t, "testSnapshot", columnIndex(t, s, scheme), NewIndex(s, scheme))
+	checkIndexMatchesDirect(t, "testSnapshot", columnIndex(t, s, scheme), s, scheme)
 
 	for _, ixp := range []string{"DE-CIX", "AMS-IX"} {
 		gs, gscheme := genSnapshot(t, ixp)
-		checkIndexesAgree(t, ixp, columnIndex(t, gs, gscheme), NewIndex(gs, gscheme))
+		checkIndexMatchesDirect(t, ixp, columnIndex(t, gs, gscheme), gs, gscheme)
 	}
 
 	es, escheme := edgeSnapshot(t)
-	checkIndexesAgree(t, "edge", columnIndex(t, es, escheme), NewIndex(es, escheme))
+	checkIndexMatchesDirect(t, "edge", columnIndex(t, es, escheme), es, escheme)
 
 	empty := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
 	empty.Normalize()
-	checkIndexesAgree(t, "empty",
-		columnIndex(t, empty, dictionary.ProfileByName("DE-CIX")),
-		NewIndex(empty, dictionary.ProfileByName("DE-CIX")))
+	escheme = dictionary.ProfileByName("DE-CIX")
+	checkIndexMatchesDirect(t, "empty", columnIndex(t, empty, escheme), empty, escheme)
 }
 
 // TestIndexFromReaderNonBinary pins the transparent fallback: a
@@ -148,7 +108,7 @@ func TestIndexFromReaderNonBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIndexesAgree(t, "json-fallback", ix, NewIndex(s, scheme))
+	checkIndexMatchesDirect(t, "json-fallback", ix, s, scheme)
 	if ix.Snapshot().Routes == nil {
 		t.Error("fallback index must carry the materialized snapshot")
 	}
@@ -232,9 +192,36 @@ func TestIndexFromColumnsAllocs(t *testing.T) {
 	}
 }
 
+// TestIndexSeriesFromColumnsAllocs extends the arena pin to the
+// series build: the chain state it keeps (dense ids, per-set
+// reductions, refcounts) is flat arrays and flat-keyed maps, so its
+// allocation count is route-independent too.
+func TestIndexSeriesFromColumnsAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	s, scheme := genSnapshot(t, "DE-CIX")
+	data := binBytes(t, s)
+	routes := len(s.Routes)
+	allocs := testing.AllocsPerRun(10, func() {
+		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := IndexSeriesFromReader(sr, scheme); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("routes=%d series=%.0f allocs/op", routes, allocs)
+	if allocs > float64(routes)/10 {
+		t.Errorf("series build allocates per route: %.0f allocs for %d routes", allocs, routes)
+	}
+}
+
 // FuzzIndexFromColumns feeds arbitrary bytes through the open →
-// column-build path: whatever decodes must index identically to the
-// materialized NewIndex, and whatever doesn't must fail cleanly.
+// column-build path: whatever decodes must answer every accessor like
+// the oracle over the materialized snapshot, and whatever doesn't must
+// fail cleanly.
 func FuzzIndexFromColumns(f *testing.F) {
 	seed, scheme := func() (*collector.Snapshot, *dictionary.Scheme) {
 		s := &collector.Snapshot{
@@ -270,29 +257,12 @@ func FuzzIndexFromColumns(f *testing.F) {
 		}
 		// The column build does not consume the reader (and the
 		// non-binary fallback caches its materialization), so the same
-		// bytes must also materialize — and classify identically.
+		// bytes must also materialize — and answer like the oracle.
 		full, err := sr.Snapshot()
 		if err != nil {
 			t.Fatalf("columns decoded but Snapshot failed: %v", err)
 		}
-		want := NewIndex(full, scheme)
-		for _, v6 := range []bool{false, true} {
-			if got, w := ix.Usage(v6), want.Usage(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Usage(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.Mix(v6), want.Mix(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Mix(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.FlavourActions(v6), want.FlavourActions(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("FlavourActions(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.PerASActionCounts(v6), want.PerASActionCounts(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("PerASActionCounts(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.Counts(v6), want.Counts(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Counts(v6=%v): %+v != %+v", v6, got, w)
-			}
-		}
+		checkIndexMatchesDirect(t, "fuzz", ix, full, scheme)
 	})
 }
 
@@ -331,8 +301,9 @@ func BenchmarkIndexFromColumns(b *testing.B) {
 	b.ReportMetric(float64(routes), "routes")
 }
 
-// BenchmarkIndexDecodeThenNew is the baseline the tentpole displaces:
-// materialize []bgp.Route, then classify route by route.
+// BenchmarkIndexDecodeThenNew is the same build through the route
+// source: materialize []bgp.Route, then run the core over each route's
+// own attribute slices.
 func BenchmarkIndexDecodeThenNew(b *testing.B) {
 	data, scheme, routes := benchWorkload(b)
 	b.ReportAllocs()

@@ -16,18 +16,24 @@
 // Index. Every scheme-dependent wrapper answers from IndexFor — the
 // index pinned on the snapshot (AttachIndex, as the column-direct and
 // delta-chain loaders do) or else a shared cached one, built once per
-// (snapshot, scheme) pair by a sharded pass over runtime.GOMAXPROCS(0)
-// workers that memoizes the Class of every distinct community value
-// and precomputes the aggregates all ~20 analyses slice. The full
-// experiment battery therefore classifies each distinct value exactly
-// once. The scheme-independent counts (CountSnapshot,
-// HygieneFilterImpact, CommunityCountPercentiles) reuse a pinned or
-// cached index when one exists and otherwise walk the routes, which
-// is cheaper than building an index just for them. For a
-// single-threaded run set GOMAXPROCS=1; results are identical for any
-// worker count.
+// (snapshot, scheme) pair. Every index, whatever its source, comes out
+// of one classify-and-fold core (core.go): a pre-pass gives each
+// distinct community value a dense id and classifies it once, a flat
+// per-route fold counts set and neighbor references, and a flush
+// derives the aggregates all ~20 analyses slice. A materialized
+// snapshot (NewIndex), a binary file's columns (IndexFromReader) and a
+// delta's op stream (IndexSeriesFromReader + Index.Advance) are the
+// three row sources. The full experiment battery therefore classifies
+// each distinct value exactly once per build. The scheme-independent
+// counts (CountSnapshot, HygieneFilterImpact,
+// CommunityCountPercentiles) reuse a pinned or cached index when one
+// exists and otherwise walk the routes, which is cheaper than building
+// an index just for them.
 //
 // The per-analysis direct-classify walks survive only as the test
-// oracle (oracle_test.go): TestIndexMatchesDirect and
-// TestWrappersMatchOracle pin every accessor and wrapper to them.
+// oracle (oracle_test.go): TestWrappersMatchOracle pins every wrapper
+// to them, and every build source is checked accessor by accessor
+// against them over the materialized snapshot — TestIndexMatchesDirect
+// (routes), TestIndexFromReaderMatchesNewIndex and FuzzIndexFromColumns
+// (columns), TestAdvanceMatchesFullRebuild and FuzzAdvance (deltas).
 package analysis

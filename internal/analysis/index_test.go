@@ -27,17 +27,17 @@ func genSnapshot(t *testing.T, ixp string) (*collector.Snapshot, *dictionary.Sch
 	return w.Snapshot("2021-10-04"), p.Scheme
 }
 
-// checkIndexMatchesDirect asserts every indexed accessor reproduces
-// its direct-classify twin exactly, for both families.
-func checkIndexMatchesDirect(t *testing.T, s *collector.Snapshot, scheme *dictionary.Scheme, workers int) {
+// checkIndexMatchesDirect asserts every accessor of ix — however it
+// was built — reproduces its direct-classify twin over the
+// materialized snapshot s exactly, for both families.
+func checkIndexMatchesDirect(t *testing.T, tag string, ix *Index, s *collector.Snapshot, scheme *dictionary.Scheme) {
 	t.Helper()
-	ix := NewIndexWorkers(s, scheme, workers)
 	reg := asdb.Default()
 	for _, v6 := range []bool{false, true} {
 		eq := func(name string, got, want any) {
 			t.Helper()
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (v6=%v, workers=%d): indexed %+v != direct %+v", name, v6, workers, got, want)
+				t.Errorf("%s: %s (v6=%v): indexed %+v != direct %+v", tag, name, v6, got, want)
 			}
 		}
 		eq("Usage", ix.Usage(v6), ComputeUsageDirect(s, scheme, v6))
@@ -67,21 +67,20 @@ func checkIndexMatchesDirect(t *testing.T, s *collector.Snapshot, scheme *dictio
 
 func TestIndexMatchesDirect(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	for _, workers := range []int{1, 4} {
-		checkIndexMatchesDirect(t, s, scheme, workers)
-	}
+	checkIndexMatchesDirect(t, "testSnapshot", NewIndex(s, scheme), s, scheme)
 
 	for _, ixp := range []string{"DE-CIX", "AMS-IX"} {
 		gs, gscheme := genSnapshot(t, ixp)
-		for _, workers := range []int{1, 3, 8} {
-			checkIndexMatchesDirect(t, gs, gscheme, workers)
-		}
+		checkIndexMatchesDirect(t, ixp, NewIndex(gs, gscheme), gs, gscheme)
 	}
+
+	es, escheme := edgeSnapshot(t)
+	checkIndexMatchesDirect(t, "edge", NewIndex(es, escheme), es, escheme)
 
 	// Empty snapshot: accessors must keep the direct twins' nil/empty
 	// semantics exactly.
 	empty := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
-	checkIndexMatchesDirect(t, empty, dictionary.ProfileByName("DE-CIX"), 4)
+	checkIndexMatchesDirect(t, "empty", NewIndex(empty, dictionary.ProfileByName("DE-CIX")), empty, dictionary.ProfileByName("DE-CIX"))
 }
 
 // TestWrapperDispatch pins the single dispatch path: a wrapper builds
@@ -96,7 +95,7 @@ func TestWrapperDispatch(t *testing.T) {
 	if indexForSnapshot(s) != nil {
 		t.Fatal("indexForSnapshot must miss before any wrapper ran")
 	}
-	want := NewIndexWorkers(s, scheme, 1).Usage(false)
+	want := NewIndex(s, scheme).Usage(false)
 	if got := ComputeUsage(s, scheme, false); !reflect.DeepEqual(got, want) {
 		t.Errorf("ComputeUsage %+v != index %+v", got, want)
 	}
@@ -125,7 +124,7 @@ func TestWrapperDispatch(t *testing.T) {
 // cache hits through IndexFor — run under -race by `make check`.
 func TestIndexConcurrentUse(t *testing.T) {
 	s, scheme := genSnapshot(t, "LINX")
-	ix := NewIndexWorkers(s, scheme, 4)
+	ix := NewIndex(s, scheme)
 	reg := asdb.Default()
 
 	var wg sync.WaitGroup

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ixplight/internal/collector"
 	"ixplight/internal/telemetry"
 )
 
@@ -38,7 +39,7 @@ func SetTelemetry(reg *telemetry.Registry) {
 		buildSeconds: reg.Histogram("ixplight_analysis_index_build_seconds",
 			"Classified-index construction time.", nil),
 		builds: reg.CounterVec("ixplight_analysis_index_builds_total",
-			"Classified-index constructions by source: routes walks a materialized []bgp.Route, columns builds straight off the binary columns, delta advances the previous day's index by a snapshot delta.", "source"),
+			"Classified-index constructions by source, all through the one classify-and-fold core: routes folds a materialized []bgp.Route, columns folds a binary snapshot's route block, delta advances the previous day's index by a snapshot delta.", "source"),
 		cacheHits: reg.Counter("ixplight_analysis_index_cache_hits_total",
 			"Index cache lookups answered by an already-built index."),
 		cacheMisses: reg.Counter("ixplight_analysis_index_cache_misses_total",
@@ -83,26 +84,24 @@ func (t *indexMetrics) cache(entries, dropped int) {
 	t.evictions.Add(int64(dropped))
 }
 
-// builtFrom counts one index construction by source ("routes" for the
-// materialized walk, "columns" for the column-direct build, "delta"
-// for an incremental Advance) — the rebuild-vs-advance split.
-func (t *indexMetrics) builtFrom(source string) {
-	if t != nil {
-		t.builds.With(source).Inc()
-	}
-}
-
-// built records one index construction.
-func (t *indexMetrics) built(dur time.Duration) {
-	if t != nil {
-		t.buildSeconds.ObserveDuration(dur)
-	}
-}
-
-// span starts a trace span on the installed registry (nil-safe).
-func (t *indexMetrics) span(name string) *telemetry.Span {
+// traceBuild opens the analysis.index_build span for one construction
+// over the snapshot header h and counts the build by source ("routes",
+// "columns" or "delta" — the rebuild-vs-advance split). The returned
+// func records the build time and ends the span; call it when the
+// build returns.
+func traceBuild(h *collector.Snapshot, source string) func() {
+	t := tel()
 	if t == nil {
-		return nil
+		return func() {}
 	}
-	return t.reg.StartSpan(name)
+	t.builds.With(source).Inc()
+	sp := t.reg.StartSpan("analysis.index_build")
+	sp.SetAttr("ixp", h.IXP)
+	sp.SetAttr("date", h.Date)
+	sp.SetAttr("source", source)
+	t0 := time.Now()
+	return func() {
+		t.buildSeconds.ObserveDuration(time.Since(t0))
+		sp.End()
+	}
 }

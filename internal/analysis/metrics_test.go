@@ -100,7 +100,7 @@ func TestIndexBuildSpan(t *testing.T) {
 	sink := &telemetry.RecordingSink{}
 	reg.SetSpanSink(sink)
 	s, scheme := genSnapshot(t, "DE-CIX")
-	NewIndexWorkers(s, scheme, 2)
+	NewIndex(s, scheme)
 	spans := sink.Named("analysis.index_build")
 	if len(spans) != 1 {
 		t.Fatalf("build spans = %d, want 1", len(spans))

@@ -16,9 +16,11 @@ import (
 // The reference oracle: one direct-classify walk per analysis. Each
 // twin re-walks the snapshot's routes and re-calls Scheme.Classify per
 // community instance — slow, but simple enough to be obviously right.
-// TestIndexMatchesDirect compares every Index accessor against them and
-// TestWrappersMatchOracle every public wrapper; the
-// BenchmarkAblation_Classify pair times them against the index.
+// checkIndexMatchesDirect compares every Index accessor against them —
+// for indexes built from routes, from binary columns and by
+// Index.Advance, including the fuzzers — and TestWrappersMatchOracle
+// every public wrapper; the BenchmarkAblation_Classify pair times them
+// against the index.
 
 // classifyRouteActions calls fn for every known action community on a
 // route, the shared walk under most §5 twins.
@@ -605,8 +607,8 @@ func ablationSnapshot(b *testing.B) (*collector.Snapshot, *dictionary.Scheme) {
 
 // BenchmarkAblation_ClassifyDirect vs ...ClassifyIndexed compare the
 // oracle against the index over the same DE-CIX snapshot:
-// per-analysis re-classification against one memoized classification
-// pass plus accessor reads. Both run single-threaded so ns/op and
+// per-analysis re-classification against one classify-and-fold pass
+// plus accessor reads. Both run single-threaded so ns/op and
 // allocs/op compare like for like.
 func BenchmarkAblation_ClassifyDirect(b *testing.B) {
 	s, scheme := ablationSnapshot(b)
@@ -628,7 +630,7 @@ func BenchmarkAblation_ClassifyIndexed(b *testing.B) {
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		ix := NewIndexWorkers(s, scheme, 1)
+		ix := NewIndex(s, scheme)
 		sink += indexedAnalysisBattery(ix)
 	}
 	if sink == 0 {

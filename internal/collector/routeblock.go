@@ -1,8 +1,9 @@
 // RouteBlock: column-level access to a decoded CodecBinary route
-// block. The consumer this exists for is analysis.IndexFromReader,
-// which classifies the interned community tables once and then walks
-// the columns without ever assembling a bgp.Route — see the RouteRef
-// contract below for what each row carries instead.
+// block. The consumer this exists for is the analysis index core
+// (analysis.IndexFromReader and IndexSeriesFromReader), which
+// registers the interned attribute tables once and then folds the
+// columns row by row without ever assembling a bgp.Route — see the
+// RouteRef contract below for what each row carries instead.
 package collector
 
 import (
