@@ -46,14 +46,17 @@ soak-long:
 ixpd-smoke:
 	$(GO) run ./cmd/ixpd -smoke -ixps DE-CIX,AMS-IX -scale 0.01
 
-# fuzz-smoke runs the two differential index fuzzers for a few
-# seconds each: FuzzAdvance (fuzz-derived delta chains folded by
-# Index.Advance) and FuzzIndexFromColumns (arbitrary binary snapshots
-# through the column build), both checked accessor by accessor against
-# the oracle. `go test -fuzz` takes one package per invocation.
+# fuzz-smoke runs three differential fuzzers for a few seconds each:
+# FuzzAdvance (fuzz-derived delta chains folded by Index.Advance) and
+# FuzzIndexFromColumns (arbitrary binary snapshots through the column
+# build), both checked accessor by accessor against the oracle, and
+# FuzzSnapshotCodecBinary (arbitrary bytes through the snapshot
+# reader, every reader view checked against Snapshot()). `go test
+# -fuzz` takes one package per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdvance$$' -fuzztime 5s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexFromColumns$$' -fuzztime 5s ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotCodecBinary$$' -fuzztime 5s ./internal/collector
 
 # perfbench vets, builds and tests the end-to-end benchmark
 # (perfbench/, see BENCHMARK.json). It is a module of its own, so the

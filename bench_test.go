@@ -379,7 +379,7 @@ func BenchmarkAblation_ExportScan(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SnapshotCodec compares the five snapshot
+// BenchmarkAblation_SnapshotCodec compares the snapshot
 // serialisations (write + read back) on the same snapshot.
 func BenchmarkAblation_SnapshotCodec(b *testing.B) {
 	s, _ := benchSnapshot(b, "AMS-IX")

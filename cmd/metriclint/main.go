@@ -38,9 +38,9 @@ var namePattern = regexp.MustCompile(`^ixplight_[a-z_]+$`)
 var spanPattern = regexp.MustCompile(`^[a-z_]+(\.[a-z_]+)*$`)
 
 // spanStarters are the functions whose first string-literal argument
-// is a span name: the package-level telemetry.StartSpan(ctx, reg,
-// name), the explicit-root Registry.StartSpan(name), and the nil-safe
-// startSpan(ctx, name) helpers the instrumented packages define.
+// is a span name: telemetry.StartSpan(ctx, reg, name) and the
+// nil-safe startSpan(ctx, name) helpers the instrumented packages
+// define.
 var spanStarters = map[string]bool{
 	"StartSpan": true,
 	"startSpan": true,

@@ -46,15 +46,14 @@ type seriesState struct {
 // chain's base snapshot straight off its columnar route block, primed
 // for Index.Advance: the build is IndexFromReader's, but its core is
 // kept as the chain state the deltas will patch. The snapshot must be
-// CodecBinary in random-access mode — the chain digest is the file's
-// own sha256.
+// CodecBinary — the chain digest is the file's own sha256.
 //
 // Like IndexFromReader's, the day-0 index's embedded snapshot is
 // header-only (attach with AttachIndex).
 func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	digest, ok := sr.Digest()
 	if !ok {
-		return nil, errors.New("analysis: series index requires a random-access CodecBinary snapshot")
+		return nil, errors.New("analysis: series index requires a CodecBinary snapshot")
 	}
 	defer traceBuild(sr.Header(), "columns")()
 	// Only the decode arena is pooled; the kept core is the series'

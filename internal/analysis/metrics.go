@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -95,7 +96,7 @@ func traceBuild(h *collector.Snapshot, source string) func() {
 		return func() {}
 	}
 	t.builds.With(source).Inc()
-	sp := t.reg.StartSpan("analysis.index_build")
+	_, sp := telemetry.StartSpan(context.Background(), t.reg, "analysis.index_build")
 	sp.SetAttr("ixp", h.IXP)
 	sp.SetAttr("date", h.Date)
 	sp.SetAttr("source", source)

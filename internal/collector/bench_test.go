@@ -175,8 +175,8 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotStream measures the streaming read path over a
-// binary snapshot: header-only open (what a dataset index pays per
+// BenchmarkSnapshotStream measures the snapshot reader over a binary
+// snapshot: header-only open (what a dataset index pays per
 // file) and a full ForEachRoute walk (what a dataset-wide scan pays
 // without ever materialising a []bgp.Route).
 func BenchmarkSnapshotStream(b *testing.B) {
@@ -197,7 +197,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	b.Run("header", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sr, err := collector.NewSnapshotReader(bytes.NewReader(data), "bench.bin")
+			sr, err := collector.NewSnapshotReaderBytes(data, "bench.bin")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	b.Run("foreach", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sr, err := collector.NewSnapshotReader(bytes.NewReader(data), "bench.bin")
+			sr, err := collector.NewSnapshotReaderBytes(data, "bench.bin")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,7 +7,7 @@
 // is mostly small varint table indices. Decoding allocates from a
 // single per-snapshot arena (one backing slab per element type shared
 // by all routes' slices) instead of one slice per route, which is
-// where the reflection codecs burn their time.
+// where the reflection-based JSON codec burns its time.
 //
 // Layout (all integers varint unless noted):
 //
@@ -106,9 +106,9 @@ func appendBinarySnapshot(buf []byte, s *Snapshot) []byte {
 	buf = append(buf, binaryMagic...)
 	buf = appendUvarint(buf, binaryVersion)
 
-	// Header section, byte-length-prefixed so a streaming reader can
-	// answer Header() after reading exactly this many bytes, without
-	// touching the route block.
+	// Header section, byte-length-prefixed so a reader can answer
+	// Header() from exactly these bytes, without touching the route
+	// block.
 	hdr := appendHeaderSection(nil, s)
 	buf = appendUvarint(buf, uint64(len(hdr)))
 	buf = append(buf, hdr...)
@@ -502,32 +502,34 @@ func (r *breader) addr() (netip.Addr, error) {
 }
 
 // decodeBinaryHeader parses the magic, version and length-prefixed
-// header section, leaving the cursor at the route block.
-func decodeBinaryHeader(r *breader) (*Snapshot, error) {
+// header section of an encoded snapshot and returns the header plus
+// the route block bytes that follow it (aliasing data).
+func decodeBinaryHeader(data []byte) (*Snapshot, []byte, error) {
+	r := &breader{b: data}
 	magic, err := r.bytes(len(binaryMagic))
 	if err != nil || string(magic) != binaryMagic {
-		return nil, errors.New("collector: not a binary snapshot (bad magic)")
+		return nil, nil, errors.New("collector: not a binary snapshot (bad magic)")
 	}
 	version, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if version != binaryVersion {
-		return nil, fmt.Errorf("collector: unsupported binary snapshot version %d (want %d)", version, binaryVersion)
+		return nil, nil, fmt.Errorf("collector: unsupported binary snapshot version %d (want %d)", version, binaryVersion)
 	}
 	hdrLen, err := r.count()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hdr, err := r.bytes(hdrLen)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s, err := decodeHeaderSection(&breader{b: hdr})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s, nil
+	return s, data[r.off:], nil
 }
 
 // decodeHeaderSection parses the header bytes (everything between the
@@ -630,16 +632,12 @@ type binaryRoutes struct {
 }
 
 // decodeBinaryRoutes parses the route block that follows the header,
-// allocating fresh slabs the decoded routes may alias forever.
-func decodeBinaryRoutes(r *breader) (*binaryRoutes, error) {
-	return decodeBinaryRoutesArena(r, nil)
-}
-
-// decodeBinaryRoutesArena is decodeBinaryRoutes with the slab and
-// intern-table storage drawn from a (a nil arena allocates fresh).
-// Arena-backed results are valid only until the arena's next decode;
-// see the Arena doc for the aliasing contract.
-func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
+// with the slab and intern-table storage drawn from a. A nil arena
+// allocates fresh slabs the decoded routes may alias forever;
+// arena-backed results are valid only until the arena's next decode
+// (see the Arena doc for the aliasing contract).
+func decodeBinaryRoutes(block []byte, a *Arena) (*binaryRoutes, error) {
+	r := &breader{b: block}
 	var (
 		pathSlabStore  *[]uint32
 		commSlabStore  *[]bgp.Community
@@ -940,24 +938,19 @@ func (rb *binaryRoutes) next() (bgp.Route, error) {
 	return r, nil
 }
 
-// decodeBinarySnapshot decodes a complete CodecBinary snapshot.
-func decodeBinarySnapshot(data []byte) (*Snapshot, error) {
-	r := &breader{b: data}
-	s, err := decodeBinaryHeader(r)
-	if err != nil {
+// decodeRoutes materialises every route of a binary route block —
+// the one route materializer behind decode and SnapshotReader.Snapshot.
+// A nil-encoded route slice decodes to nil.
+func decodeRoutes(block []byte) ([]bgp.Route, error) {
+	rb, err := decodeBinaryRoutes(block, nil)
+	if err != nil || rb.isNil {
 		return nil, err
 	}
-	rb, err := decodeBinaryRoutes(r)
-	if err != nil {
-		return nil, err
-	}
-	if !rb.isNil {
-		s.Routes = make([]bgp.Route, rb.n)
-		for i := range s.Routes {
-			if s.Routes[i], err = rb.next(); err != nil {
-				return nil, err
-			}
+	routes := make([]bgp.Route, rb.n)
+	for i := range routes {
+		if routes[i], err = rb.next(); err != nil {
+			return nil, err
 		}
 	}
-	return s, nil
+	return routes, nil
 }

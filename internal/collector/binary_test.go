@@ -2,8 +2,12 @@ package collector
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -122,7 +126,7 @@ func TestBinaryGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden fixture missing (run with -update-golden to create): %v", err)
 	}
-	got, err := decodeBinarySnapshot(data)
+	got, err := decode(data, CodecBinary)
 	if err != nil {
 		t.Fatalf("golden fixture no longer decodes: %v", err)
 	}
@@ -139,14 +143,14 @@ func TestBinaryGoldenFixture(t *testing.T) {
 func TestBinaryVersionCheck(t *testing.T) {
 	data := append([]byte(nil), appendBinarySnapshot(nil, goldenSnapshot())...)
 	data[len(binaryMagic)] = binaryVersion + 1 // version varint is one byte for small versions
-	if _, err := decodeBinarySnapshot(data); err == nil {
+	if _, err := decode(data, CodecBinary); err == nil {
 		t.Fatal("future version accepted")
 	} else if want := fmt.Sprintf("version %d", binaryVersion+1); !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not name the offending version", err)
 	}
-	// The streaming path must reject it the same way.
-	if _, err := NewSnapshotReader(bytes.NewReader(data), "x.bin"); err == nil {
-		t.Fatal("streaming reader accepted future version")
+	// The reader's header parse must reject it the same way.
+	if _, err := NewSnapshotReaderBytes(data, "x.bin"); err == nil {
+		t.Fatal("snapshot reader accepted future version")
 	}
 }
 
@@ -191,14 +195,14 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 func TestBinaryDecodeTruncated(t *testing.T) {
 	data := appendBinarySnapshot(nil, goldenSnapshot())
 	for n := 0; n < len(data); n++ {
-		if _, err := decodeBinarySnapshot(data[:n]); err == nil {
+		if _, err := decode(data[:n], CodecBinary); err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded successfully", n, len(data))
 		}
 	}
 }
 
-// TestCrossCodecEquivalence decodes the same fixture through all five
-// codecs and requires identical in-memory snapshots — the guarantee
+// TestCrossCodecEquivalence decodes the same fixture through every
+// codec and requires identical in-memory snapshots — the guarantee
 // that lets a dataset mix codecs freely.
 func TestCrossCodecEquivalence(t *testing.T) {
 	s := sampleSnapshot()
@@ -225,9 +229,9 @@ func TestCrossCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotReaderStreams pins the streaming contract: Header()
-// before the route block, routes in file order, single-shot column
-// walk.
+// TestSnapshotReaderStreams pins the reader contract: Header()
+// before the route block, routes in file order, and route walks that
+// re-run from the block.
 func TestSnapshotReaderStreams(t *testing.T) {
 	s := goldenSnapshot()
 	dir := t.TempDir()
@@ -263,18 +267,29 @@ func TestSnapshotReaderStreams(t *testing.T) {
 	if !reflect.DeepEqual(got, s.Routes) {
 		t.Errorf("streamed routes mismatch:\n want %+v\n got  %+v", s.Routes, got)
 	}
-	// The column walk is single-shot.
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); err == nil {
-		t.Error("second ForEachRoute succeeded")
+	// A second walk decodes afresh, and Snapshot still works after it.
+	var again []bgp.Route
+	if err := sr.ForEachRoute(func(r bgp.Route) error {
+		again = append(again, r)
+		return nil
+	}); err != nil {
+		t.Fatalf("second ForEachRoute: %v", err)
 	}
-	if _, err := sr.Snapshot(); err == nil {
-		t.Error("Snapshot() after ForEachRoute succeeded")
+	if !reflect.DeepEqual(again, s.Routes) {
+		t.Error("second walk diverged")
+	}
+	full, err := sr.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot() after ForEachRoute: %v", err)
+	}
+	if !reflect.DeepEqual(full, s) {
+		t.Errorf("Snapshot() mismatch:\n want %+v\n got  %+v", s, full)
 	}
 }
 
-// TestSnapshotReaderEagerCodecs drives the same interface over the
-// reflection codecs (eager fallback) and checks ForEachRoute stops on
-// a callback error.
+// TestSnapshotReaderEagerCodecs drives the same interface over every
+// codec (the JSON ones decode eagerly) and checks ForEachRoute stops
+// on a callback error.
 func TestSnapshotReaderEagerCodecs(t *testing.T) {
 	s := sampleSnapshot()
 	dir := t.TempDir()
@@ -313,7 +328,9 @@ func TestSnapshotReaderEagerCodecs(t *testing.T) {
 
 // TestCodecAutoDetect renames each codec's file to a meaningless
 // extension and checks LoadSnapshot still decodes it via magic bytes
-// and content sniffing.
+// and content sniffing. Files of the retired gob codecs, under their
+// old extensions, must be refused with the detect error rather than
+// handed to a decoder.
 func TestCodecAutoDetect(t *testing.T) {
 	s := sampleSnapshot()
 	dir := t.TempDir()
@@ -343,6 +360,35 @@ func TestCodecAutoDetect(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("sniffed decode mismatch")
+			}
+		})
+	}
+	for _, legacy := range []struct {
+		name, ext string
+		gzipped   bool
+	}{{"gob", ".gob", false}, {"gob+gzip", ".gob.gz", true}} {
+		t.Run(legacy.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := io.Writer(&buf)
+			var zw *gzip.Writer
+			if legacy.gzipped {
+				zw = gzip.NewWriter(&buf)
+				w = zw
+			}
+			if err := gob.NewEncoder(w).Encode(s); err != nil {
+				t.Fatal(err)
+			}
+			if zw != nil {
+				if err := zw.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join(dir, "legacy"+legacy.ext)
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(path); !errors.Is(err, errUndetectable) {
+				t.Errorf("LoadSnapshot(%s) = %v, want the detect error", legacy.ext, err)
 			}
 		})
 	}
@@ -381,20 +427,21 @@ func TestCodecTelemetry(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotCodecBinary is the round-trip fuzzer: any input that
-// decodes must re-encode deterministically to a form that decodes to
-// the same snapshot, and structured inputs derived from the fuzz data
-// must survive encode→decode exactly.
+// FuzzSnapshotCodecBinary is the round-trip fuzzer: any input the
+// snapshot reader decodes must agree across every reader view and
+// re-encode deterministically to a form that decodes to the same
+// snapshot, and structured inputs derived from the fuzz data must
+// survive encode→decode exactly.
 func FuzzSnapshotCodecBinary(f *testing.F) {
 	f.Add(appendBinarySnapshot(nil, goldenSnapshot()))
 	f.Add(appendBinarySnapshot(nil, sampleSnapshot()))
 	f.Add(appendBinarySnapshot(nil, &Snapshot{}))
 	f.Add([]byte(binaryMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1: arbitrary bytes → decode → canonical re-encode.
-		if s, err := decodeBinarySnapshot(data); err == nil {
+		// Direction 1: arbitrary bytes → reader → canonical re-encode.
+		if s := readerViews(t, data); s != nil {
 			enc := appendBinarySnapshot(nil, s)
-			s2, err := decodeBinarySnapshot(enc)
+			s2, err := decode(enc, CodecBinary)
 			if err != nil {
 				t.Fatalf("re-decode of canonical encoding failed: %v", err)
 			}
@@ -409,7 +456,7 @@ func FuzzSnapshotCodecBinary(f *testing.F) {
 		// encode → decode → DeepEqual.
 		s := snapshotFromFuzzBytes(data)
 		enc := appendBinarySnapshot(nil, s)
-		got, err := decodeBinarySnapshot(enc)
+		got, err := decode(enc, CodecBinary)
 		if err != nil {
 			t.Fatalf("decode of fresh encoding failed: %v", err)
 		}
@@ -417,6 +464,68 @@ func FuzzSnapshotCodecBinary(f *testing.F) {
 			t.Fatalf("structured round trip mismatch:\n in  %+v\n out %+v", s, got)
 		}
 	})
+}
+
+// readerViews opens data as a binary snapshot and returns its
+// materialized form, or nil when it does not decode. For a decodable
+// input it checks that every view of the reader agrees: Header(),
+// two ForEachRoute walks, a RouteBlock scan and Snapshot(). The walks
+// run first, because a materialized reader walks its cached slice
+// instead of the route block.
+func readerViews(t *testing.T, data []byte) *Snapshot {
+	t.Helper()
+	sr, err := NewSnapshotReaderBytes(data, "fuzz.bin")
+	if err != nil {
+		return nil
+	}
+	var walks [2][]bgp.Route
+	var walkErrs [2]error
+	for i := range walks {
+		walkErrs[i] = sr.ForEachRoute(func(r bgp.Route) error {
+			walks[i] = append(walks[i], r)
+			return nil
+		})
+	}
+	s, err := sr.Snapshot()
+	if err != nil {
+		if walkErrs[0] == nil || walkErrs[1] == nil {
+			t.Fatalf("ForEachRoute succeeded (%v, %v) where Snapshot failed: %v", walkErrs[0], walkErrs[1], err)
+		}
+		return nil
+	}
+	if h := sr.Header(); h.Routes != nil || !reflect.DeepEqual(h, headerOnly(s)) {
+		t.Fatalf("Header() %+v disagrees with Snapshot() %+v", h, s)
+	}
+	for i := range walks {
+		if walkErrs[i] != nil {
+			t.Fatalf("walk %d failed where Snapshot succeeded: %v", i, walkErrs[i])
+		}
+		if !sameRoutes(walks[i], s.Routes) {
+			t.Fatalf("walk %d disagrees with Snapshot()", i)
+		}
+	}
+	rb, err := sr.RouteBlock(nil)
+	if err != nil {
+		t.Fatalf("RouteBlock failed where Snapshot succeeded: %v", err)
+	}
+	if !sameRoutes(blockRoutes(t, rb), s.Routes) {
+		t.Fatal("RouteBlock scan disagrees with Snapshot()")
+	}
+	return s
+}
+
+// sameRoutes compares route lists element-wise, so a nil walk result
+// matches an empty materialized slice.
+func sameRoutes(a, b []bgp.Route) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // snapshotFromFuzzBytes deterministically builds a snapshot from raw

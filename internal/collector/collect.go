@@ -138,19 +138,14 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 	if workers > len(crawl) {
 		workers = len(crawl)
 	}
-	var outcomes []neighborOutcome
-	if workers <= 1 {
-		outcomes, err = crawlSequential(ctx, client, crawl, opts, saver)
-	} else {
-		outcomes, err = crawlParallel(ctx, client, crawl, opts, saver, workers)
-	}
+	outcomes, err := crawlParallel(ctx, client, crawl, opts, saver, workers)
 	if err != nil {
 		return nil, err
 	}
 
-	// Replay the outcomes in neighbor order. Both crawl strategies
-	// converge here, so the budget arithmetic — and therefore the
-	// snapshot — is identical for every worker count.
+	// Replay the outcomes in neighbor order, so the budget arithmetic
+	// — and therefore the snapshot — is identical for every worker
+	// count.
 	stats := CrawlStats{Neighbors: len(crawl), BudgetRemaining: -1}
 	consecutive, tripped := 0, false
 	for i, asn := range crawl {

@@ -13,11 +13,11 @@
 //
 // Three access layers mirror the full binary codec:
 //
-//   - EncodeDelta / DeltaEncoder: day N vs day N-1 → delta bytes.
+//   - DeltaEncoder: day N vs day N-1 → delta bytes.
 //     The stateful encoder carries the chain's intern tables forward
 //     so a whole series can be encoded with each day diffed in one
 //     merge pass over two sorted route slices.
-//   - ApplyDelta / DeltaApplier: base + delta → day N snapshot.
+//   - DeltaApplier: base + delta → day N snapshot.
 //     The stateful applier reconstructs a chain day by day, reusing
 //     interned attribute values across days.
 //   - DeltaReader: header + table extensions + op stream without
@@ -49,11 +49,6 @@ var ErrDeltaBaseMismatch = errors.New("collector: delta base mismatch")
 
 var errDeltaCorrupt = errors.New("collector: snapshot delta corrupt")
 
-// IsDelta reports whether data starts with the delta magic.
-func IsDelta(data []byte) bool {
-	return len(data) >= len(deltaMagic) && string(data[:len(deltaMagic)]) == deltaMagic
-}
-
 // SnapshotDigest is the canonical identity of a snapshot's content:
 // the sha256 of its CodecBinary encoding. For a snapshot written with
 // SaveSnapshot(..., CodecBinary) this equals the sha256 of the file
@@ -62,14 +57,13 @@ func SnapshotDigest(s *Snapshot) [sha256.Size]byte {
 	return sha256.Sum256(appendBinarySnapshot(nil, s))
 }
 
-// Digest returns the sha256 of the reader's CodecBinary encoding.
-// Available only for binary snapshots opened in random-access mode
-// (OpenSnapshotAt, NewSnapshotReaderBytes); otherwise ok is false.
+// Digest returns the sha256 of the reader's CodecBinary encoding. For
+// the other codecs ok is false.
 func (sr *SnapshotReader) Digest() (sum [sha256.Size]byte, ok bool) {
-	if sr.codec != CodecBinary || sr.buf == nil {
+	if sr.codec != CodecBinary {
 		return sum, false
 	}
-	return sha256.Sum256(sr.buf), true
+	return sha256.Sum256(sr.data), true
 }
 
 // --- chain intern tables --------------------------------------------------
@@ -307,7 +301,6 @@ func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 // it on day 0 (the full base snapshot) and call Encode once per
 // following day; each call diffs against the previous one and
 // advances. The encoder retains each snapshot until the next call.
-// One-shot use: EncodeDelta.
 type DeltaEncoder struct {
 	tabs    *deltaTables
 	prev    *Snapshot
@@ -482,17 +475,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	e.prev, e.prevIDs, e.digest = next, nextIDs, self
 	codecTel().deltaEncoded(t0, int64(len(buf)), copies, adds, dels, changes)
 	return buf, nil
-}
-
-// EncodeDelta encodes next as a one-shot delta against base. For a
-// multi-day chain, keep a DeltaEncoder instead — ids then extend
-// across days rather than restarting from base each time.
-func EncodeDelta(base, next *Snapshot) ([]byte, error) {
-	e, err := NewDeltaEncoder(base)
-	if err != nil {
-		return nil, err
-	}
-	return e.Encode(next)
 }
 
 // --- reader ---------------------------------------------------------------
@@ -941,7 +923,6 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 // DeltaApplier materializes a delta chain day by day. Create it on
 // the chain's base snapshot and call Apply once per delta in order;
 // interned attribute values are shared across all materialized days.
-// One-shot use: ApplyDelta.
 type DeltaApplier struct {
 	tabs *deltaTables
 
@@ -1140,18 +1121,4 @@ func (a *DeltaApplier) Encoder() *DeltaEncoder {
 		prevIDs: a.curIDs,
 		digest:  a.digest,
 	}
-}
-
-// ApplyDelta materializes delta against base in one shot. For a
-// multi-day chain, keep a DeltaApplier instead.
-func ApplyDelta(base *Snapshot, delta []byte) (*Snapshot, error) {
-	d, err := NewDeltaReader(delta)
-	if err != nil {
-		return nil, err
-	}
-	a, err := NewDeltaApplier(base)
-	if err != nil {
-		return nil, err
-	}
-	return a.Apply(d)
 }

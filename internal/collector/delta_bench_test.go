@@ -21,7 +21,7 @@ func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 	var buf []byte
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = EncodeDelta(base, next)
+		buf, err = encodeDelta(base, next)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 
 func BenchmarkSnapshotDeltaApply(b *testing.B) {
 	base, next := benchDeltaPair(50000)
-	delta, err := EncodeDelta(base, next)
+	delta, err := encodeDelta(base, next)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func BenchmarkSnapshotDeltaApply(b *testing.B) {
 	b.SetBytes(int64(len(delta)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := ApplyDelta(base, delta)
+		s, err := applyDelta(base, delta)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,6 +50,28 @@ func churnSnapshot(prev *Snapshot, date string, seed int64) *Snapshot {
 	return next
 }
 
+// encodeDelta encodes next as a one-shot delta against base.
+func encodeDelta(base, next *Snapshot) ([]byte, error) {
+	e, err := NewDeltaEncoder(base)
+	if err != nil {
+		return nil, err
+	}
+	return e.Encode(next)
+}
+
+// applyDelta materializes delta against base in one shot.
+func applyDelta(base *Snapshot, delta []byte) (*Snapshot, error) {
+	d, err := NewDeltaReader(delta)
+	if err != nil {
+		return nil, err
+	}
+	a, err := NewDeltaApplier(base)
+	if err != nil {
+		return nil, err
+	}
+	return a.Apply(d)
+}
+
 func TestDeltaRoundTrip(t *testing.T) {
 	base := goldenSnapshot()
 	base.Normalize()
@@ -57,11 +79,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 	next.Members = append(next.Members, Member{ASN: 64999, Name: "Newcomer", IPv4: true})
 	next.FilteredCount++
 
-	delta, err := EncodeDelta(base, next)
+	delta, err := encodeDelta(base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ApplyDelta(base, delta)
+	got, err := applyDelta(base, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +93,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if SnapshotDigest(got) != SnapshotDigest(next) {
 		t.Fatal("round-tripped snapshot digest differs")
 	}
-	if !IsDelta(delta) {
-		t.Fatal("IsDelta(delta) = false")
-	}
-	if IsDelta(appendBinarySnapshot(nil, base)) {
-		t.Fatal("IsDelta(full binary snapshot) = true")
+	if _, err := NewDeltaReader(appendBinarySnapshot(nil, base)); err == nil {
+		t.Fatal("NewDeltaReader accepted a full binary snapshot")
 	}
 }
 
@@ -129,7 +148,7 @@ func TestDeltaChain(t *testing.T) {
 	// A delta never applies out of order or to the wrong base: day 2's
 	// delta against the original base must be refused by digest.
 	if len(deltas) >= 2 {
-		if _, err := ApplyDelta(base, deltas[1]); !errors.Is(err, ErrDeltaBaseMismatch) {
+		if _, err := applyDelta(base, deltas[1]); !errors.Is(err, ErrDeltaBaseMismatch) {
 			t.Fatalf("out-of-order apply: got %v, want ErrDeltaBaseMismatch", err)
 		}
 	}
@@ -183,7 +202,7 @@ func TestDeltaReaderOps(t *testing.T) {
 	base := goldenSnapshot()
 	base.Normalize()
 	next := churnSnapshot(base, "2021-10-05", 3)
-	delta, err := EncodeDelta(base, next)
+	delta, err := encodeDelta(base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +288,7 @@ func bulkSnapshot(n int) *Snapshot {
 func TestDeltaIdenticalDays(t *testing.T) {
 	base := bulkSnapshot(600)
 	same := *base
-	delta, err := EncodeDelta(base, &same)
+	delta, err := encodeDelta(base, &same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +297,7 @@ func TestDeltaIdenticalDays(t *testing.T) {
 	if len(delta) >= len(full)/4 {
 		t.Fatalf("identical-day delta is %d bytes, full snapshot %d — expected a fraction", len(delta), len(full))
 	}
-	got, err := ApplyDelta(base, delta)
+	got, err := applyDelta(base, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +310,7 @@ func TestDeltaTruncated(t *testing.T) {
 	base := goldenSnapshot()
 	base.Normalize()
 	next := churnSnapshot(base, "2021-10-05", 4)
-	delta, err := EncodeDelta(base, next)
+	delta, err := encodeDelta(base, next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +318,7 @@ func TestDeltaTruncated(t *testing.T) {
 		if _, err := NewDeltaReader(delta[:i]); err == nil {
 			// A truncation that still parses must at least fail to
 			// apply; it can never silently produce a snapshot.
-			if _, err := ApplyDelta(base, delta[:i]); err == nil {
+			if _, err := applyDelta(base, delta[:i]); err == nil {
 				t.Fatalf("truncation at %d applied cleanly", i)
 			}
 		}
@@ -319,7 +338,7 @@ func TestDeltaRejectsUnsorted(t *testing.T) {
 	if _, err := NewDeltaEncoder(&shuffled); err == nil {
 		t.Fatal("NewDeltaEncoder accepted unsorted routes")
 	}
-	if _, err := EncodeDelta(base, &shuffled); err == nil {
+	if _, err := encodeDelta(base, &shuffled); err == nil {
 		t.Fatal("EncodeDelta accepted unsorted next")
 	}
 }
@@ -333,11 +352,11 @@ func FuzzSnapshotDelta(f *testing.F) {
 		next := snapshotFromFuzzBytes(b)
 		base.Normalize()
 		next.Normalize()
-		delta, err := EncodeDelta(base, next)
+		delta, err := encodeDelta(base, next)
 		if err != nil {
 			t.Fatalf("EncodeDelta: %v", err)
 		}
-		got, err := ApplyDelta(base, delta)
+		got, err := applyDelta(base, delta)
 		if err != nil {
 			t.Fatalf("ApplyDelta: %v", err)
 		}

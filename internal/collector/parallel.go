@@ -48,44 +48,17 @@ func (w *checkpointWriter) markDone(asn uint32, routes []bgp.Route) error {
 	return err
 }
 
-// crawlSequential is the single-connection crawl: one neighbor at a
-// time, in neighbor order, stopping early when strict mode hits a
-// failure or the error budget trips — so a dead LG sees exactly as
-// many requests as it did before the crawl went parallel.
-func crawlSequential(ctx context.Context, client *lg.Client, crawl []uint32, opts CollectOptions, saver *checkpointWriter) ([]neighborOutcome, error) {
-	outcomes := make([]neighborOutcome, len(crawl))
-	consecutive := 0
-	for i, asn := range crawl {
-		routes, attempts, dur, err := crawlNeighbor(ctx, client, asn, opts.NeighborRetries, opts.Metrics)
-		outcomes[i] = neighborOutcome{attempted: true, routes: routes, attempts: attempts, dur: dur, err: err}
-		if err != nil {
-			if !opts.Partial || ctx.Err() != nil {
-				// The replay surfaces this outcome as the crawl error.
-				return outcomes, nil
-			}
-			consecutive++
-			if opts.ErrorBudget > 0 && consecutive >= opts.ErrorBudget {
-				return outcomes, nil
-			}
-			continue
-		}
-		consecutive = 0
-		if serr := saver.markDone(asn, routes); serr != nil {
-			return nil, fmt.Errorf("collector: checkpoint: %w", serr)
-		}
-	}
-	return outcomes, nil
-}
-
 // crawlParallel fans the crawl plan across a worker pool. Workers
 // claim neighbors strictly in plan order, so at any moment the
 // attempted set is a prefix of the plan plus at most workers-1
 // in-flight entries. A frontier walk over the contiguous completed
-// prefix re-runs the sequential budget arithmetic as results land;
-// once it proves the sequential crawl would have stopped (budget
+// prefix re-runs the in-order budget arithmetic as results land;
+// once it proves a one-at-a-time crawl would have stopped (budget
 // tripped, strict-mode failure, checkpoint save error), no new
 // neighbors are claimed — in-flight ones drain and the replay demotes
-// any overshoot to skipped.
+// any overshoot to skipped. With one worker that is the
+// one-at-a-time crawl itself: a dead LG sees no request past the
+// stopping point.
 func crawlParallel(ctx context.Context, client *lg.Client, crawl []uint32, opts CollectOptions, saver *checkpointWriter, workers int) ([]neighborOutcome, error) {
 	outcomes := make([]neighborOutcome, len(crawl))
 	var (

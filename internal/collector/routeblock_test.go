@@ -68,22 +68,36 @@ func blockRoutes(t *testing.T, b *RouteBlock) []bgp.Route {
 	return out
 }
 
-// TestErrConsumedSentinel pins the exported sentinel on both
-// single-shot paths, via errors.Is.
-func TestErrConsumedSentinel(t *testing.T) {
-	data := encodeBinary(t, sampleSnapshot())
-	sr, err := NewSnapshotReader(bytes.NewReader(data), "x.bin")
+// TestSnapshotReaderRewalks pins that no route walk consumes the
+// reader: ForEachRoute runs any number of times, Snapshot works after
+// it, and Snapshot returns its cached value on every later call.
+func TestSnapshotReaderRewalks(t *testing.T) {
+	want := sampleSnapshot()
+	sr, err := NewSnapshotReaderBytes(encodeBinary(t, want), "x.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); err != nil {
-		t.Fatalf("first walk: %v", err)
+	for walk := 0; walk < 2; walk++ {
+		var got []bgp.Route
+		if err := sr.ForEachRoute(func(r bgp.Route) error {
+			got = append(got, r)
+			return nil
+		}); err != nil {
+			t.Fatalf("walk %d: %v", walk, err)
+		}
+		if !reflect.DeepEqual(got, want.Routes) {
+			t.Errorf("walk %d diverged", walk)
+		}
 	}
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); !errors.Is(err, ErrConsumed) {
-		t.Errorf("second ForEachRoute: got %v, want ErrConsumed", err)
+	first, err := sr.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after ForEachRoute: %v", err)
 	}
-	if _, err := sr.Snapshot(); !errors.Is(err, ErrConsumed) {
-		t.Errorf("Snapshot after ForEachRoute: got %v, want ErrConsumed", err)
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("Snapshot = %+v, want %+v", first, want)
+	}
+	if again, err := sr.Snapshot(); err != nil || again != first {
+		t.Errorf("second Snapshot = %p, %v; want the cached %p", again, err, first)
 	}
 }
 
@@ -94,11 +108,11 @@ func TestErrConsumedSentinel(t *testing.T) {
 func TestRouteBlockMatchesRows(t *testing.T) {
 	for _, s := range []*Snapshot{sampleSnapshot(), goldenSnapshot(), {IXP: "X", Date: "2021-10-04"}} {
 		data := encodeBinary(t, s)
-		want, err := decodeBinarySnapshot(data)
+		want, err := decode(data, CodecBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := NewSnapshotReader(bytes.NewReader(data), "x.bin")
+		sr, err := NewSnapshotReaderBytes(data, "x.bin")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +150,7 @@ func TestRouteBlockNonColumnar(t *testing.T) {
 	if err := WriteSnapshot(&buf, sampleSnapshot(), CodecJSON); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := NewSnapshotReader(bytes.NewReader(buf.Bytes()), "x.json")
+	sr, err := NewSnapshotReaderBytes(buf.Bytes(), "x.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +168,7 @@ func TestRouteBlockArenaReuse(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, s := range snaps {
 			data := encodeBinary(t, s)
-			want, err := decodeBinarySnapshot(data)
+			want, err := decode(data, CodecBinary)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +195,7 @@ func TestRouteBlockArenaReuse(t *testing.T) {
 
 // TestOpenSnapshotAt exercises the mmap/read open path: header
 // without route decode, column access, full materialization equal to
-// the streaming loader, and the non-columnar fallback.
+// LoadSnapshot, and the non-columnar fallback.
 func TestOpenSnapshotAt(t *testing.T) {
 	dir := t.TempDir()
 	s := goldenSnapshot()

@@ -5,9 +5,9 @@
 package collector
 
 import (
+	"bytes"
 	"cmp"
 	"compress/gzip"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -176,12 +176,6 @@ func (s *Snapshot) Normalize() {
 	})
 }
 
-// Dataset is a time-ordered series of snapshots for one IXP.
-type Dataset struct {
-	IXP       string     `json:"ixp"`
-	Snapshots []Snapshot `json:"snapshots"`
-}
-
 // Codec selects a snapshot serialisation (the snapshot-codec ablation).
 type Codec int
 
@@ -189,8 +183,6 @@ type Codec int
 const (
 	CodecJSON Codec = iota
 	CodecJSONGzip
-	CodecGob
-	CodecGobGzip
 	// CodecBinary is the hand-rolled columnar format (binary.go):
 	// varint-encoded columns with deduplicated intern tables for AS
 	// paths, next hops and community sets, decoded from a single
@@ -202,7 +194,22 @@ const (
 // Codecs lists every available codec in declaration order — the
 // snapshot-codec ablation iterates it.
 func Codecs() []Codec {
-	return []Codec{CodecJSON, CodecJSONGzip, CodecGob, CodecGobGzip, CodecBinary}
+	return []Codec{CodecJSON, CodecJSONGzip, CodecBinary}
+}
+
+// ParseCodec maps a command-line codec name to its codec: "json",
+// "json.gz", or "binary" (alias "bin").
+func ParseCodec(name string) (Codec, error) {
+	switch name {
+	case "json":
+		return CodecJSON, nil
+	case "json.gz":
+		return CodecJSONGzip, nil
+	case "binary", "bin":
+		return CodecBinary, nil
+	default:
+		return 0, fmt.Errorf("unknown codec %q", name)
+	}
 }
 
 // String implements fmt.Stringer.
@@ -212,10 +219,6 @@ func (c Codec) String() string {
 		return "json"
 	case CodecJSONGzip:
 		return "json+gzip"
-	case CodecGob:
-		return "gob"
-	case CodecGobGzip:
-		return "gob+gzip"
 	case CodecBinary:
 		return "binary"
 	default:
@@ -230,10 +233,6 @@ func (c Codec) Ext() string {
 		return ".json"
 	case CodecJSONGzip:
 		return ".json.gz"
-	case CodecGob:
-		return ".gob"
-	case CodecGobGzip:
-		return ".gob.gz"
 	case CodecBinary:
 		return ".bin"
 	default:
@@ -273,12 +272,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot, codec Codec) error {
 		return withPooledGzip(w, func(zw io.Writer) error {
 			return json.NewEncoder(zw).Encode(s)
 		})
-	case CodecGob:
-		return gob.NewEncoder(w).Encode(s)
-	case CodecGobGzip:
-		return withPooledGzip(w, func(zw io.Writer) error {
-			return gob.NewEncoder(zw).Encode(s)
-		})
 	case CodecBinary:
 		_, err := w.Write(appendBinarySnapshot(nil, s))
 		return err
@@ -287,44 +280,18 @@ func WriteSnapshot(w io.Writer, s *Snapshot, codec Codec) error {
 	}
 }
 
-// countingReader tracks encoded bytes consumed, for the codec
-// telemetry.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Len lets size hints pass through the counter (bytes.Reader,
-// bytes.Buffer and strings.Reader all report remaining length).
-func (c *countingReader) Len() int {
-	if lr, ok := c.r.(interface{ Len() int }); ok {
-		return lr.Len()
-	}
-	return -1
-}
-
 // readAllHint is io.ReadAll with an exact-size first allocation when
-// the remaining length is known — from the hint, or from the reader's
-// own Len(). io.ReadAll's doubling growth re-clears and re-copies the
-// buffer ~log2(size) times, which is a third of the binary codec's
-// decode cost on a megabyte snapshot; a sized allocation reads the
-// bytes exactly once.
-func readAllHint(r io.Reader, hint int) ([]byte, error) {
-	if hint < 0 {
-		if lr, ok := r.(interface{ Len() int }); ok {
-			hint = lr.Len()
-		}
-	}
-	if hint < 0 {
+// the reader reports its remaining length (bytes.Reader, bytes.Buffer
+// and strings.Reader all do). io.ReadAll's doubling growth re-clears
+// and re-copies the buffer ~log2(size) times, which is a third of the
+// binary codec's decode cost on a megabyte snapshot; a sized
+// allocation reads the bytes exactly once.
+func readAllHint(r io.Reader) ([]byte, error) {
+	lr, ok := r.(interface{ Len() int })
+	if !ok {
 		return io.ReadAll(r)
 	}
-	buf := make([]byte, 0, hint+1) // +1 so EOF surfaces without a growth step
+	buf := make([]byte, 0, lr.Len()+1) // +1 so EOF surfaces without a growth step
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -340,35 +307,34 @@ func readAllHint(r io.Reader, hint int) ([]byte, error) {
 	}
 }
 
-// ReadSnapshot deserialises one snapshot from r.
+// ReadSnapshot deserialises one snapshot from r, which it reads to
+// the end.
 func ReadSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
 	tel := codecTel()
 	t0 := tel.now()
-	cr := r
-	var counter *countingReader
-	if tel != nil {
-		counter = &countingReader{r: r}
-		cr = counter
-	}
-	s, err := readSnapshot(cr, codec)
+	data, err := readAllHint(r)
 	if err != nil {
 		return nil, err
 	}
-	if tel != nil {
-		tel.decoded(codec, t0, counter.n, len(s.Routes))
+	s, err := decode(data, codec)
+	if err != nil {
+		return nil, err
 	}
+	tel.decoded(codec, t0, int64(len(data)), len(s.Routes))
 	return s, nil
 }
 
-func readSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
+// decode deserialises one whole encoded snapshot. It is the one
+// decoder behind ReadSnapshot and the eager SnapshotReader open.
+func decode(data []byte, codec Codec) (*Snapshot, error) {
 	var s Snapshot
 	switch codec {
 	case CodecJSON:
-		if err := json.NewDecoder(r).Decode(&s); err != nil {
+		if err := json.Unmarshal(data, &s); err != nil {
 			return nil, err
 		}
 	case CodecJSONGzip:
-		zr, err := gzip.NewReader(r)
+		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
 			return nil, err
 		}
@@ -376,25 +342,15 @@ func readSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
 		if err := json.NewDecoder(zr).Decode(&s); err != nil {
 			return nil, err
 		}
-	case CodecGob:
-		if err := gob.NewDecoder(r).Decode(&s); err != nil {
-			return nil, err
-		}
-	case CodecGobGzip:
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		if err := gob.NewDecoder(zr).Decode(&s); err != nil {
-			return nil, err
-		}
 	case CodecBinary:
-		data, err := readAllHint(r, -1)
+		head, block, err := decodeBinaryHeader(data)
 		if err != nil {
 			return nil, err
 		}
-		return decodeBinarySnapshot(data)
+		if head.Routes, err = decodeRoutes(block); err != nil {
+			return nil, err
+		}
+		return head, nil
 	default:
 		return nil, fmt.Errorf("collector: unknown codec %v", codec)
 	}

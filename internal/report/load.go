@@ -15,7 +15,7 @@ import (
 
 // LoadSnapshotDir replaces the lab's generated snapshots with stored
 // files from dir: every regular file is decoded (codec deduced per
-// file, so a directory may mix json/gob/binary/MRT freely), the full
+// file, so a directory may mix JSON/binary/MRT freely), the full
 // date-ordered series per IXP feeds the temporal experiments, and the
 // latest snapshot per IXP becomes the point-in-time input. Files are
 // decoded across the lab's worker pool; the resulting series order is

@@ -144,7 +144,7 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 	}{
 		{mk("LINX", "2021-10-06"), collector.CodecBinary},
 		{mk("LINX", "2021-10-04"), collector.CodecJSON},
-		{mk("LINX", "2021-10-05"), collector.CodecGobGzip},
+		{mk("LINX", "2021-10-05"), collector.CodecJSONGzip},
 		{mk("DE-CIX", "2021-10-04"), collector.CodecBinary},
 	} {
 		if _, err := collector.SaveSnapshot(dir, c.s, c.codec); err != nil {

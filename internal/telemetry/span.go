@@ -105,9 +105,8 @@ type spanState struct {
 	ended bool
 }
 
-// Span is one timed operation in a trace. Start one with the package
-// StartSpan (context-propagating) or Registry.StartSpan (explicit
-// root), attach attributes and events, call End. All methods are
+// Span is one timed operation in a trace. Start one with StartSpan,
+// attach attributes and events, call End. All methods are
 // no-ops on a nil receiver, so instrumented code never checks whether
 // tracing is on. SetAttr, Event and End are safe to call concurrently;
 // End is idempotent — the first call emits, later ones do nothing.
@@ -123,25 +122,6 @@ type Span struct {
 
 	sink SpanSink
 	st   *spanState
-}
-
-// StartSpan begins a root span with no context to inherit from — the
-// explicit form used by code that has no context.Context in reach
-// (the analysis package's cache hooks). It returns nil — a no-op
-// span — when the registry is nil, no sink is installed, or the
-// head-based sampler drops the new trace.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	box := r.sink.Load()
-	if box == nil {
-		return nil
-	}
-	if !r.sampleRoot() {
-		return nil
-	}
-	return newSpan(name, newTraceID(), 0, box.sink)
 }
 
 func newSpan(name string, trace TraceID, parent SpanID, sink SpanSink) *Span {

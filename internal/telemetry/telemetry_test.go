@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -46,7 +47,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	hv := r.HistogramVec("ixplight_nil_vec_seconds", "", nil, "l")
 	hv.With("x").Observe(1)
-	sp := r.StartSpan("nil")
+	_, sp := StartSpan(context.Background(), r, "nil")
 	sp.SetAttr("k", "v")
 	sp.End()
 	if sp.Duration() != 0 {
@@ -155,12 +156,12 @@ func TestHistogramBucketMath(t *testing.T) {
 
 func TestSpanSinkRecords(t *testing.T) {
 	r := New()
-	if sp := r.StartSpan("before.sink"); sp != nil {
+	if _, sp := StartSpan(context.Background(), r, "before.sink"); sp != nil {
 		t.Error("StartSpan without a sink must return nil")
 	}
 	sink := &RecordingSink{}
 	r.SetSpanSink(sink)
-	sp := r.StartSpan("test.op")
+	_, sp := StartSpan(context.Background(), r, "test.op")
 	sp.SetAttr("ixp", "DE-CIX")
 	sp.End()
 	spans := sink.Named("test.op")
@@ -175,7 +176,7 @@ func TestSpanSinkRecords(t *testing.T) {
 		t.Errorf("attrs = %v", got.Attrs)
 	}
 	r.SetSpanSink(nil)
-	if sp := r.StartSpan("after.removal"); sp != nil {
+	if _, sp := StartSpan(context.Background(), r, "after.removal"); sp != nil {
 		t.Error("StartSpan after sink removal must return nil")
 	}
 }

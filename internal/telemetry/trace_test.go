@@ -300,7 +300,7 @@ func TestJSONLSinkSizeCap(t *testing.T) {
 	r := New()
 	r.SetSpanSink(sink)
 	for i := 0; i < 50; i++ {
-		sp := r.StartSpan("cap.op")
+		_, sp := StartSpan(context.Background(), r, "cap.op")
 		sp.SetAttr("filler", strings.Repeat("x", 40))
 		sp.End()
 	}

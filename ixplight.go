@@ -106,8 +106,8 @@ type (
 	Member = collector.Member
 	// SnapshotCodec selects a serialisation format.
 	SnapshotCodec = collector.Codec
-	// SnapshotReader streams a snapshot file: header metadata without
-	// decoding routes, then routes one at a time.
+	// SnapshotReader reads one snapshot file held in memory: header
+	// metadata without decoding routes, then routes one at a time.
 	SnapshotReader = collector.SnapshotReader
 )
 
@@ -115,8 +115,6 @@ type (
 const (
 	CodecJSON     = collector.CodecJSON
 	CodecJSONGzip = collector.CodecJSONGzip
-	CodecGob      = collector.CodecGob
-	CodecGobGzip  = collector.CodecGobGzip
 	CodecBinary   = collector.CodecBinary
 )
 
@@ -133,8 +131,8 @@ func SaveSnapshot(dir string, s *Snapshot, codec SnapshotCodec) (string, error) 
 // extension or the file contents.
 func LoadSnapshot(path string) (*Snapshot, error) { return collector.LoadSnapshot(path) }
 
-// OpenSnapshot opens a snapshot file for streaming reads; the caller
-// must Close the reader.
+// OpenSnapshot reads a snapshot file into memory and opens a reader
+// over it; the caller must Close the reader.
 func OpenSnapshot(path string) (*SnapshotReader, error) { return collector.OpenSnapshot(path) }
 
 // Workload generation.
